@@ -1,37 +1,16 @@
 """Hot numeric kernels: valid 2-D convolution and max-pooling.
 
-Two interchangeable backends:
-
-* numba ``@njit`` kernels (default) that build a per-sample im2col buffer
-  and hand the contraction to BLAS via ``np.dot``;
-* a pure-numpy fallback based on ``sliding_window_view`` + ``tensordot``,
-  selected by setting the environment variable ``GENREKIT_NO_NUMBA=1``
-  (or automatically when numba is unavailable).
-
-Both backends are deterministic run-to-run.  ``benchmarks/bench_kernels.py``
-compares them.
+Pure numpy: convolution is a ``tensordot`` over a ``sliding_window_view``,
+pooling an ``argmax`` over reshaped windows.  Every kernel is deterministic
+run-to-run.
 """
-
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-_DISABLE = os.environ.get("GENREKIT_NO_NUMBA", "0") not in ("0", "", "false")
 
-try:
-    if _DISABLE:
-        raise ImportError
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-# ---------------------------------------------------------------- numpy path
-
-def _conv2d_forward_np(x, w, b):
-    # x: (B, C, H, W), w: (F, C, KH, KW), b: (F,)
+def conv2d_forward(x, w, b):
+    """Valid convolution, stride 1. x (B,C,H,W), w (F,C,KH,KW), b (F,)."""
     kh, kw = w.shape[2], w.shape[3]
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))  # (B, C, OH, OW, KH, KW)
     out = np.tensordot(win, w, axes=[(1, 4, 5), (1, 2, 3)])  # (B, OH, OW, F)
@@ -40,13 +19,19 @@ def _conv2d_forward_np(x, w, b):
     return out
 
 
-def _conv2d_backward_np(x, w, dout):
-    B, C, H, W = x.shape
-    F, _, KH, KW = w.shape
+def conv2d_backward(x, w, dout, need_dx=True):
+    """Gradients (dx, dw, db) of a valid stride-1 convolution.
+
+    With ``need_dx=False`` the input gradient is not computed and ``dx`` is
+    None; ``dw`` and ``db`` are the same either way.
+    """
+    KH, KW = w.shape[2], w.shape[3]
     OH, OW = dout.shape[2], dout.shape[3]
     win = sliding_window_view(x, (KH, KW), axis=(2, 3))  # (B, C, OH, OW, KH, KW)
     dw = np.tensordot(dout, win, axes=[(0, 2, 3), (0, 2, 3)])  # (F, C, KH, KW)
     db = dout.sum(axis=(0, 2, 3))
+    if not need_dx:
+        return None, dw, db
     dx = np.zeros_like(x)
     # scatter the F-contraction back onto the input, one kernel offset at a time
     dcol = np.tensordot(dout, w, axes=[(1,), (0,)])  # (B, OH, OW, C, KH, KW)
@@ -56,7 +41,9 @@ def _conv2d_backward_np(x, w, dout):
     return dx, dw, db
 
 
-def _maxpool_forward_np(x, ph, pw):
+def maxpool_forward(x, ph, pw):
+    """Non-overlapping max pool; trailing rows/cols that do not fill a
+    window are dropped. Returns (out, argmax-within-window)."""
     B, C, H, W = x.shape
     OH, OW = H // ph, W // pw
     xc = x[:, :, :OH * ph, :OW * pw]
@@ -67,7 +54,8 @@ def _maxpool_forward_np(x, ph, pw):
     return out, arg
 
 
-def _maxpool_backward_np(dout, arg, x_shape, ph, pw):
+def maxpool_backward(dout, arg, x_shape, ph, pw):
+    """Routes gradient to the argmax position of each pooling window."""
     B, C, H, W = x_shape
     OH, OW = dout.shape[2], dout.shape[3]
     dwin = np.zeros((B, C, OH, OW, ph * pw))
@@ -78,144 +66,6 @@ def _maxpool_backward_np(dout, arg, x_shape, ph, pw):
     return dx
 
 
-# ---------------------------------------------------------------- numba path
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _im2col(x, bidx, KH, KW, OH, OW, cols):
-        C = x.shape[1]
-        for oh in range(OH):
-            for ow in range(OW):
-                p = oh * OW + ow
-                q = 0
-                for c in range(C):
-                    for i in range(KH):
-                        for j in range(KW):
-                            cols[p, q] = x[bidx, c, oh + i, ow + j]
-                            q += 1
-
-    @njit(cache=True)
-    def _conv2d_forward_nb(x, w, b):
-        B, C, H, W = x.shape
-        F, _, KH, KW = w.shape
-        OH = H - KH + 1
-        OW = W - KW + 1
-        wmat = np.ascontiguousarray(w.reshape(F, C * KH * KW).T)
-        out = np.empty((B, F, OH, OW))
-        cols = np.empty((OH * OW, C * KH * KW))
-        for bidx in range(B):
-            _im2col(x, bidx, KH, KW, OH, OW, cols)
-            res = np.dot(cols, wmat)  # (OH*OW, F)
-            for f in range(F):
-                for oh in range(OH):
-                    for ow in range(OW):
-                        out[bidx, f, oh, ow] = res[oh * OW + ow, f] + b[f]
-        return out
-
-    @njit(cache=True)
-    def _conv2d_backward_nb(x, w, dout):
-        B, C, H, W = x.shape
-        F, _, KH, KW = w.shape
-        OH = dout.shape[2]
-        OW = dout.shape[3]
-        K = C * KH * KW
-        P = OH * OW
-        wmat = np.ascontiguousarray(w.reshape(F, K))
-        dwmat = np.zeros((F, K))
-        db = np.zeros(F)
-        dx = np.zeros((B, C, H, W))
-        cols = np.empty((P, K))
-        dmat = np.empty((P, F))
-        for bidx in range(B):
-            _im2col(x, bidx, KH, KW, OH, OW, cols)
-            for f in range(F):
-                for oh in range(OH):
-                    for ow in range(OW):
-                        g = dout[bidx, f, oh, ow]
-                        dmat[oh * OW + ow, f] = g
-                        db[f] += g
-            dwmat += np.dot(dmat.T, cols)
-            dcols = np.dot(dmat, wmat)  # (P, K)
-            for oh in range(OH):
-                for ow in range(OW):
-                    p = oh * OW + ow
-                    q = 0
-                    for c in range(C):
-                        for i in range(KH):
-                            for j in range(KW):
-                                dx[bidx, c, oh + i, ow + j] += dcols[p, q]
-                                q += 1
-        return dx, dwmat.reshape(F, C, KH, KW), db
-
-    @njit(cache=True)
-    def _maxpool_forward_nb(x, ph, pw):
-        B, C, H, W = x.shape
-        OH = H // ph
-        OW = W // pw
-        out = np.empty((B, C, OH, OW))
-        arg = np.empty((B, C, OH, OW), dtype=np.int64)
-        for b in range(B):
-            for c in range(C):
-                for oh in range(OH):
-                    for ow in range(OW):
-                        best = x[b, c, oh * ph, ow * pw]
-                        besti = 0
-                        for i in range(ph):
-                            for j in range(pw):
-                                v = x[b, c, oh * ph + i, ow * pw + j]
-                                if v > best:
-                                    best = v
-                                    besti = i * pw + j
-                        out[b, c, oh, ow] = best
-                        arg[b, c, oh, ow] = besti
-        return out, arg
-
-    @njit(cache=True)
-    def _maxpool_backward_nb(dout, arg, B, C, H, W, ph, pw):
-        dx = np.zeros((B, C, H, W))
-        OH = dout.shape[2]
-        OW = dout.shape[3]
-        for b in range(B):
-            for c in range(C):
-                for oh in range(OH):
-                    for ow in range(OW):
-                        k = arg[b, c, oh, ow]
-                        dx[b, c, oh * ph + k // pw, ow * pw + k % pw] += dout[b, c, oh, ow]
-        return dx
-
-
-# ---------------------------------------------------------------- public api
-
-def conv2d_forward(x, w, b):
-    """Valid convolution, stride 1. x (B,C,H,W), w (F,C,KH,KW), b (F,)."""
-    if HAS_NUMBA:
-        return _conv2d_forward_nb(x, w, b)
-    return _conv2d_forward_np(x, w, b)
-
-
-def conv2d_backward(x, w, dout):
-    """Gradients (dx, dw, db) of a valid stride-1 convolution."""
-    if HAS_NUMBA:
-        return _conv2d_backward_nb(x, w, dout)
-    return _conv2d_backward_np(x, w, dout)
-
-
-def maxpool_forward(x, ph, pw):
-    """Non-overlapping max pool; trailing rows/cols that do not fill a
-    window are dropped. Returns (out, argmax-within-window)."""
-    if HAS_NUMBA:
-        return _maxpool_forward_nb(x, ph, pw)
-    return _maxpool_forward_np(x, ph, pw)
-
-
-def maxpool_backward(dout, arg, x_shape, ph, pw):
-    """Routes gradient to the argmax position of each pooling window."""
-    if HAS_NUMBA:
-        B, C, H, W = x_shape
-        return _maxpool_backward_nb(dout, arg, B, C, H, W, ph, pw)
-    return _maxpool_backward_np(dout, arg, x_shape, ph, pw)
-
-
 def backend():
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded with benchmark figures."""
+    return "numpy"

@@ -1,7 +1,7 @@
 """Layer menu for the fixed-topology network engine.
 
 Everything runs in double precision.  Convolution and pooling delegate to
-the kernels module (numba or numpy backend).
+the kernels module.
 """
 
 import numpy as np
@@ -21,9 +21,15 @@ def _xavier_uniform(rng, shape, fan_in, fan_out):
 
 
 class Layer:
-    """Stateless unless it owns parameters; caches what backward needs."""
+    """Stateless unless it owns parameters; caches what backward needs.
+
+    A layer with parameters whose ``need_dx`` is False computes only its
+    parameter gradients in ``backward`` and returns None.  ``ModelGraph``
+    sets it on its lowest parameter layer, whose input gradient nothing reads.
+    """
 
     params = ()  # names of parameter attributes
+    need_dx = True
 
     def spec(self):
         raise NotImplementedError
@@ -64,7 +70,7 @@ class Dense(Layer):
     def backward(self, dout):
         self.dw = self._x.T @ dout
         self.db = dout.sum(axis=0)
-        return dout @ self.w.T
+        return dout @ self.w.T if self.need_dx else None
 
 
 class Conv2d(Layer):
@@ -98,7 +104,7 @@ class Conv2d(Layer):
 
     def backward(self, dout):
         dx, self.dw, self.db = kernels.conv2d_backward(
-            self._x, self.w, np.ascontiguousarray(dout))
+            self._x, self.w, np.ascontiguousarray(dout), need_dx=self.need_dx)
         return dx
 
 

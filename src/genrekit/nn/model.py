@@ -102,6 +102,11 @@ class ModelGraph:
         head_spec = {"kind": "dense", "out": head["dim"], "init": "xavier"}
         self.head_dense = _build_layer(head_spec, shape, rng)
         self._out = None
+        # backward stops at the lowest layer with parameters (the head at
+        # the latest): no caller reads the input gradient below it
+        stack = self.layers + [self.head_dense]
+        self._bottom = next(i for i, layer in enumerate(stack) if layer.params)
+        stack[self._bottom].need_dx = False
 
     # ------------------------------------------------------------ execution
 
@@ -140,10 +145,11 @@ class ModelGraph:
         return loss, dz
 
     def backward(self, dz):
+        """Parameter gradients of the cached forward pass, given the loss
+        gradient w.r.t. the head dense output.  Returns nothing."""
         dx = self.head_dense.backward(dz)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[self._bottom:]):
             dx = layer.backward(dx)
-        return dx
 
     # ----------------------------------------------------------- parameters
 
@@ -226,6 +232,7 @@ def grad_check(model, x, targets, step=1e-4, tolerance=1e-4,
 # ------------------------------------------------------------- serialization
 
 MODEL_MAGIC = b"MUNN"
+HEADER_KEYS = frozenset(("input_shape", "specs", "head", "seed"))
 
 
 def save_model(model, path):
@@ -252,7 +259,15 @@ def load_model(path):
     if len(data) < 8:
         raise TruncatedFile(path)
     (hlen,) = struct.unpack("<I", data[4:8])
-    header = json.loads(data[8:8 + hlen].decode("utf-8"))
+    if len(data) < 8 + hlen:
+        raise TruncatedFile(f"{path}: header of {hlen} bytes runs past the end")
+    try:
+        header = json.loads(data[8:8 + hlen].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ConfigInvalid(f"{path}: model header is not JSON: {exc}") from exc
+    missing = HEADER_KEYS.difference(header) if isinstance(header, dict) else HEADER_KEYS
+    if missing:
+        raise ConfigInvalid(f"{path}: model header lacks {sorted(missing)}")
     model = ModelGraph(tuple(header["input_shape"]), header["specs"],
                        header["head"], header["seed"])
     off = 8 + hlen

@@ -1,30 +1,64 @@
-"""Deterministic SGD-with-momentum and Adam optimizers, updating in place."""
+"""Deterministic SGD-with-momentum and Adam optimizers, updating in place.
+
+Both walk each flat parameter block in chunks of ``CHUNK`` elements through
+scratch buffers allocated once, so a step allocates no temporaries the size
+of a block and its working set stays in cache.  Each element sees the same
+floating-point operations, in the same order, as the whole-array formulas
+in the docstrings, so results are bit-identical to them.
+"""
 
 import numpy as np
 
 from ..errors import ShapeMismatch
 
+# 2^14 float64 = 128 KiB per array: the six slices a chunk touches stay in L2
+CHUNK = 1 << 14
+
+
+def _check_blocks(params_and_grads, n_state):
+    """Refuse the step before any block is touched: a block written through
+    a flat view must be C-contiguous, or its update would land in a copy."""
+    if n_state != len(params_and_grads):
+        raise ShapeMismatch("optimizer state does not match parameter blocks")
+    for p, g in params_and_grads:
+        if p.shape != g.shape:
+            raise ShapeMismatch(f"{p.shape} vs {g.shape}")
+        if not p.flags.c_contiguous:
+            raise ShapeMismatch(f"parameter block of shape {p.shape} is not C-contiguous")
+
+
+def _chunks(n):
+    return (slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK))
+
 
 class SGD:
+    """``v = v*momentum + g; p -= lr*v``."""
+
     def __init__(self, lr=1e-2, momentum=0.0):
         self.lr = lr
         self.momentum = momentum
         self._velocity = None
+        self._buf = np.empty(CHUNK)
 
     def step(self, params_and_grads):
         if self._velocity is None:
             self._velocity = [np.zeros_like(p) for p, _ in params_and_grads]
-        if len(self._velocity) != len(params_and_grads):
-            raise ShapeMismatch("optimizer state does not match parameter blocks")
-        for v, (p, g) in zip(self._velocity, params_and_grads):
-            if p.shape != g.shape:
-                raise ShapeMismatch(f"{p.shape} vs {g.shape}")
-            v *= self.momentum
-            v += g
-            p -= self.lr * v
+        _check_blocks(params_and_grads, len(self._velocity))
+        for vel, (param, grad) in zip(self._velocity, params_and_grads):
+            pf, gf, vf = param.reshape(-1), grad.reshape(-1), vel.reshape(-1)
+            for s in _chunks(pf.size):
+                v = vf[s]
+                step = self._buf[:v.size]
+                v *= self.momentum
+                v += gf[s]
+                np.multiply(v, self.lr, out=step)
+                pf[s] -= step
 
 
 class Adam:
+    """``m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
+    p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)``, with ``bc = 1 - b**t``."""
+
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
@@ -33,24 +67,38 @@ class Adam:
         self.t = 0
         self._m = None
         self._v = None
+        self._num = np.empty(CHUNK)
+        self._den = np.empty(CHUNK)
 
     def step(self, params_and_grads):
         if self._m is None:
             self._m = [np.zeros_like(p) for p, _ in params_and_grads]
             self._v = [np.zeros_like(p) for p, _ in params_and_grads]
-        if len(self._m) != len(params_and_grads):
-            raise ShapeMismatch("optimizer state does not match parameter blocks")
+        _check_blocks(params_and_grads, len(self._m))
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for m, v, (p, g) in zip(self._m, self._v, params_and_grads):
-            if p.shape != g.shape:
-                raise ShapeMismatch(f"{p.shape} vs {g.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for mom, sq, (param, grad) in zip(self._m, self._v, params_and_grads):
+            pf, gf = param.reshape(-1), grad.reshape(-1)
+            mf, vf = mom.reshape(-1), sq.reshape(-1)
+            for s in _chunks(pf.size):
+                g, m, v = gf[s], mf[s], vf[s]
+                num, den = self._num[:g.size], self._den[:g.size]
+                m *= b1
+                np.multiply(g, 1.0 - b1, out=num)
+                m += num
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=num)
+                num *= g
+                v += num
+                np.divide(m, bc1, out=num)
+                num *= self.lr
+                np.divide(v, bc2, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
+                num /= den
+                pf[s] -= num
 
 
 def make_optimizer(config):

@@ -1,7 +1,10 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
-from genrekit.errors import ConfigInvalid, ShapeMismatch
+from genrekit.errors import ConfigInvalid, ShapeMismatch, TruncatedFile
 from genrekit.nn import (
     Adam,
     ModelGraph,
@@ -14,6 +17,7 @@ from genrekit.nn import (
     save_model,
 )
 from genrekit.nn.model import _cosine_grad, _stable_sigmoid
+from genrekit.nn.optim import CHUNK
 
 
 def small_mlp(head="logistic", seed=0, in_dim=6, out=4):
@@ -113,6 +117,60 @@ def test_make_optimizer_dispatch():
         make_optimizer({"kind": "nope"})
 
 
+def reference_sgd(params, grads, velocity, lr, momentum):
+    for p, g, v in zip(params, grads, velocity):
+        v *= momentum
+        v += g
+        p -= lr * v
+
+
+def reference_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, mb, vb in zip(params, grads, m, v):
+        mb *= beta1
+        mb += (1.0 - beta1) * g
+        vb *= beta2
+        vb += (1.0 - beta2) * g * g
+        p -= lr * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_chunked_optimizers_match_whole_array_formulas(kind):
+    """Blocks shorter than, equal to and not a multiple of the chunk size
+    end bit-identical to the whole-array update after three steps."""
+    rng = np.random.default_rng(21)
+    shapes = [(1,), (CHUNK,), (2 * CHUNK + 3,), (3, 5)]
+    params = [rng.normal(size=s) for s in shapes]
+    expect = [p.copy() for p in params]
+    state = [[np.zeros(s) for s in shapes] for _ in range(2)]
+    if kind == "sgd":
+        opt = SGD(lr=0.05, momentum=0.9)
+    else:
+        opt = Adam(lr=3e-3)
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes]
+        opt.step(list(zip(params, grads)))
+        if kind == "sgd":
+            reference_sgd(expect, grads, state[0], 0.05, 0.9)
+        else:
+            reference_adam(expect, grads, state[0], state[1], t, 3e-3)
+    for got, want in zip(params, expect):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("opt", [SGD(lr=0.1), Adam(lr=0.1)], ids=["sgd", "adam"])
+def test_optimizers_refuse_non_contiguous_parameters(opt):
+    """A strided block would be updated through a copy and lose the step;
+    the step is refused before any block changes."""
+    first = np.ones(4)
+    strided = np.ones((4, 6))[:, ::2]
+    pairs = [(first, np.ones(4)), (strided, np.ones(strided.shape))]
+    with pytest.raises(ShapeMismatch):
+        opt.step(pairs)
+    np.testing.assert_array_equal(first, np.ones(4))
+
+
 # --------------------------------------------------------------- grad checks
 
 @pytest.mark.parametrize("head", ["logistic", "cosine"])
@@ -155,6 +213,57 @@ def test_grad_check_sigmoid_layer():
     y = rng.normal(size=(3, 3))
     y /= np.linalg.norm(y, axis=1, keepdims=True)
     assert grad_check(model, x, y)["__all__"]
+
+
+def conv_model():
+    specs = [
+        {"kind": "conv2d", "filters": 3, "kh": 2, "kw": 2},
+        {"kind": "relu"},
+        {"kind": "maxpool", "ph": 2, "pw": 2},
+        {"kind": "flatten"},
+        {"kind": "dense", "out": 6},
+        {"kind": "relu"},
+        {"kind": "dropout", "rate": 0.4},
+    ]
+    return ModelGraph((1, 6, 6), specs, {"kind": "logistic", "dim": 3}, seed=5)
+
+
+def shallow_dropout_model():
+    from genrekit.zoo import build_shallow
+    return build_shallow(6, 3, "logistic", dropout=0.3, seed=5)
+
+
+def full_backward(model, dz):
+    """Every layer's backward, input gradients included, down to the input."""
+    dx = dz
+    for layer in [model.head_dense] + model.layers[::-1]:
+        layer.need_dx = True
+        dx = layer.backward(dx)
+
+
+def _must_not_run(dout):
+    raise AssertionError("backward ran below the lowest parameter layer")
+
+
+@pytest.mark.parametrize("build", [conv_model, lambda: small_mlp(out=3),
+                                   shallow_dropout_model],
+                         ids=["conv", "mlp", "shallow-dropout"])
+def test_backward_stops_at_lowest_parameter_layer(build):
+    """Skipping the input gradient changes no parameter gradient by a bit."""
+    fast, full = build(), build()
+    shape = (4,) + fast.input_shape
+    x = np.random.default_rng(8).normal(size=shape)
+    y = np.random.default_rng(9).integers(0, 2, size=(4, 3)).astype(float)
+    for layer in itertools.takewhile(lambda layer: not layer.params, fast.layers):
+        layer.backward = _must_not_run
+    grads = []
+    for model, backward in ((fast, ModelGraph.backward), (full, full_backward)):
+        model.forward(x, train=True, rng=np.random.default_rng(10))
+        _, dz = model.loss_grad(y)
+        backward(model, dz)
+        grads.append(model.grads())
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
 
 
 # ------------------------------------------------------------------- dropout
@@ -242,6 +351,36 @@ def test_checkpoint_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:len(data) - 16])
     with pytest.raises(TruncatedFile):
+        load_model(path)
+
+
+def test_checkpoint_header_cut_short(tmp_path):
+    path = tmp_path / "m.munn"
+    save_model(small_mlp(), path)
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(TruncatedFile):
+        load_model(path)
+
+
+def _write_header(path, blob):
+    path.write_bytes(b"MUNN" + len(blob).to_bytes(4, "little") + blob)
+
+
+def test_checkpoint_header_not_json(tmp_path):
+    path = tmp_path / "m.munn"
+    _write_header(path, b'{"head": {"kind": "log')
+    with pytest.raises(ConfigInvalid):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["head", "specs", "input_shape", "seed"])
+def test_checkpoint_header_missing_key(tmp_path, key):
+    path = tmp_path / "m.munn"
+    header = {"input_shape": [6], "specs": [], "head": {"kind": "logistic", "dim": 4},
+              "seed": 0}
+    del header[key]
+    _write_header(path, json.dumps(header).encode("utf-8"))
+    with pytest.raises(ConfigInvalid):
         load_model(path)
 
 
