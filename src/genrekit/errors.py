@@ -103,6 +103,10 @@ class MissingModality(DataError):
     pass
 
 
+class IdCountMismatch(DataError):
+    pass
+
+
 # --- metrics ---
 
 class KOutOfRange(ConfigError):

@@ -49,24 +49,41 @@ def _cosine_grad(outputs, targets):
     return -(targets / (on * tn) - cos * outputs / (on * on)) / b
 
 
+# integer fields each layer kind needs; other kinds need none
+_INT_FIELDS = {"dense": ("out",), "conv2d": ("filters", "kh", "kw"), "maxpool": ("ph", "pw")}
+
+
+def _int_field(spec, key, what):
+    value = spec.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigInvalid(f"{what} needs an integer {key!r}, got {value!r}")
+    return int(value)
+
+
 def _build_layer(spec, in_shape, rng):
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise ConfigInvalid(f"layer spec must be an object with a 'kind', got {spec!r}")
     kind = spec["kind"]
+    dims = [_int_field(spec, key, f"{kind} layer") for key in _INT_FIELDS.get(kind, ())]
     if kind == "dense":
         if len(in_shape) != 1:
             raise ConfigInvalid("dense needs a flat input; add a flatten layer")
-        return Dense(in_shape[0], spec["out"], rng, init=spec.get("init", "he"))
+        return Dense(in_shape[0], dims[0], rng, init=spec.get("init", "he"))
     if kind == "conv2d":
         if len(in_shape) != 3:
             raise ConfigInvalid("conv2d needs (C, H, W) input")
-        return Conv2d(in_shape[0], spec["filters"], spec["kh"], spec["kw"], rng)
+        return Conv2d(in_shape[0], *dims, rng)
     if kind == "maxpool":
-        return MaxPool(spec["ph"], spec["pw"])
+        return MaxPool(*dims)
     if kind == "relu":
         return ReLU()
     if kind == "sigmoid":
         return Sigmoid()
     if kind == "dropout":
-        return Dropout(spec["rate"])
+        rate = spec.get("rate")
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ConfigInvalid(f"dropout layer needs a numeric 'rate', got {rate!r}")
+        return Dropout(rate)
     if kind == "flatten":
         return Flatten()
     raise ConfigInvalid(f"unknown layer kind {kind!r}")
@@ -82,10 +99,12 @@ class ModelGraph:
     """
 
     def __init__(self, input_shape, specs, head, seed):
-        if head["kind"] not in ("logistic", "cosine"):
-            raise ConfigInvalid(f"unknown head kind {head['kind']!r}")
-        if head["dim"] < 1:
+        if not isinstance(head, dict) or head.get("kind") not in ("logistic", "cosine"):
+            raise ConfigInvalid(f"head must have kind 'logistic' or 'cosine', got {head!r}")
+        if _int_field(head, "dim", "head") < 1:
             raise ConfigInvalid("head dim must be >= 1")
+        if not isinstance(specs, (list, tuple)):
+            raise ConfigInvalid(f"layer specs must be a list, got {specs!r}")
         self.input_shape = tuple(input_shape)
         self.head = dict(head)
         self.seed = seed
@@ -268,6 +287,12 @@ def load_model(path):
     missing = HEADER_KEYS.difference(header) if isinstance(header, dict) else HEADER_KEYS
     if missing:
         raise ConfigInvalid(f"{path}: model header lacks {sorted(missing)}")
+    shape = header["input_shape"]
+    if not isinstance(shape, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape):
+        raise ConfigInvalid(f"{path}: input_shape must be positive integers, got {shape!r}")
+    if _int_field(header, "seed", "model header") < 0:
+        raise ConfigInvalid(f"{path}: seed must be >= 0")
     model = ModelGraph(tuple(header["input_shape"]), header["specs"],
                        header["head"], header["seed"])
     off = 8 + hlen

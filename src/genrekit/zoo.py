@@ -14,6 +14,8 @@ from .errors import (
     BadMagic,
     ConfigInvalid,
     EmptyAlbum,
+    IdCountMismatch,
+    IoError,
     MissingModality,
     NonFiniteLoss,
     TruncatedFile,
@@ -300,6 +302,11 @@ def load_feature_vectors(path):
     if len(data) < need:
         raise TruncatedFile(path)
     matrix = np.frombuffer(data[12:need], dtype="<f8").reshape(m, dim).copy()
-    with open(str(path) + ".ids", encoding="utf-8") as fh:
-        item_ids = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(str(path) + ".ids", encoding="utf-8") as fh:
+            item_ids = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"{path}: cannot read its .ids sidecar: {exc}") from exc
+    if len(item_ids) != m:
+        raise IdCountMismatch(f"{path}: {m} rows but {len(item_ids)} ids in its .ids sidecar")
     return matrix, item_ids

@@ -1,6 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genrekit import kernels
 from genrekit.kernels import (
     backend,
     conv2d_backward,
@@ -85,6 +90,105 @@ def test_conv_backward_without_dx_gives_same_weight_gradients():
     assert dx is not None and none is None
     np.testing.assert_array_equal(dw_only, dw)
     np.testing.assert_array_equal(db_only, db)
+
+
+# ------------------------------------------- sample groups of the column buffer
+
+def conv_backward_oracle(x, w, dout):
+    """(dx, dw, db) by six loops, the adjoint of ``conv_oracle``."""
+    B, C, H, W = x.shape
+    F, _, KH, KW = w.shape
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for bi in range(B):
+        for f in range(F):
+            for oh in range(dout.shape[2]):
+                for ow in range(dout.shape[3]):
+                    g = dout[bi, f, oh, ow]
+                    for c in range(C):
+                        for i in range(KH):
+                            for j in range(KW):
+                                dx[bi, c, oh + i, ow + j] += g * w[f, c, i, j]
+                                dw[f, c, i, j] += g * x[bi, c, oh + i, ow + j]
+    return dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+@contextlib.contextmanager
+def column_cap(cols):
+    """Run with ``kernels.COLS`` set to ``cols`` (usable inside Hypothesis)."""
+    old, kernels.COLS = kernels.COLS, cols
+    try:
+        yield
+    finally:
+        kernels.COLS = old
+
+
+def assert_matches_oracles(x, w, b, dout):
+    np.testing.assert_allclose(conv2d_forward(x, w, b), conv_oracle(x, w, b), atol=1e-12)
+    expect = conv_backward_oracle(x, w, dout)
+    for got, want in zip(conv2d_backward(x, w, dout), expect):
+        np.testing.assert_allclose(got, want, atol=1e-12)
+    for got, want in zip(conv2d_backward(x, w, dout, need_dx=False)[1:], expect[1:]):
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+# one sample's columns are 3*3*2 rows x 4*6 columns = 432 elements
+@pytest.mark.parametrize("cols", [100, 432, 900, 1 << 18],
+                         ids=["sample-over-cap", "one-per-group", "partial-last-group",
+                              "one-group"])
+def test_conv_grouped_matches_oracle_and_finite_differences(monkeypatch, cols):
+    monkeypatch.setattr(kernels, "COLS", cols)
+    rng = np.random.default_rng(6)
+    x, w, b = random_case(rng, B=5, C=3, H=6, W=7, F=4, KH=3, KW=2)
+    dout = rng.normal(size=(5, 4, 4, 6))
+    assert_matches_oracles(x, w, b, dout)
+
+    dx, dw, db = conv2d_backward(x, w, dout)
+    step = 1e-6
+    coords = np.random.default_rng(7)
+    for arr, grad in ((x, dx), (w, dw), (b, db)):
+        flat = arr.reshape(-1)
+        for k in coords.choice(flat.size, min(8, flat.size), replace=False):
+            orig = flat[k]
+            flat[k] = orig + step
+            lp = float((conv2d_forward(x, w, b) * dout).sum())
+            flat[k] = orig - step
+            lm = float((conv2d_forward(x, w, b) * dout).sum())
+            flat[k] = orig
+            assert grad.reshape(-1)[k] == pytest.approx((lp - lm) / (2 * step), abs=1e-5)
+
+
+@st.composite
+def conv_cases(draw):
+    B, C, F = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    H, W = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    KH, KW = draw(st.integers(1, H)), draw(st.integers(1, W))
+    cols = draw(st.sampled_from([1, 7, 40, 150, 1 << 18]))
+    return B, C, H, W, F, KH, KW, cols, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_conv_grouped_property(case):
+    B, C, H, W, F, KH, KW, cols, seed = case
+    rng = np.random.default_rng(seed)
+    x, w, b = random_case(rng, B=B, C=C, H=H, W=W, F=F, KH=KH, KW=KW)
+    dout = rng.normal(size=(B, F, H - KH + 1, W - KW + 1))
+    with column_cap(cols):
+        assert_matches_oracles(x, w, b, dout)
+
+
+@pytest.mark.parametrize("shape", [(5, 1, 96, 48, 8, 70, 4), (40, 16, 13, 11, 8, 3, 3)],
+                         ids=["sample-over-cap", "samples-under-cap"])
+def test_conv_single_sample_equals_batched_row(shape):
+    """A served request's few patches and the whole batch fall into different
+    sample groups; each sample's output must not depend on its group."""
+    B, C, H, W, F, KH, KW = shape
+    rng = np.random.default_rng(8)
+    x, w, b = random_case(rng, B=B, C=C, H=H, W=W, F=F, KH=KH, KW=KW)
+    batched = conv2d_forward(x, w, b)
+    for i in range(B):
+        np.testing.assert_allclose(conv2d_forward(x[i:i + 1], w, b)[0], batched[i],
+                                   rtol=0, atol=1e-12)
 
 
 def test_maxpool_drops_remainder():

@@ -384,6 +384,25 @@ def test_checkpoint_header_missing_key(tmp_path, key):
         load_model(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    pytest.param("specs", [{"kind": "dense"}], id="dense-lacks-out"),
+    pytest.param("specs", [{"kind": "dense", "out": "4"}], id="dense-out-not-int"),
+    pytest.param("specs", ["dense"], id="spec-not-object"),
+    pytest.param("specs", "dense", id="specs-not-list"),
+    pytest.param("head", {"dim": 4}, id="head-lacks-kind"),
+    pytest.param("head", {"kind": "cosine", "dim": 2.5}, id="head-dim-not-int"),
+    pytest.param("input_shape", 6, id="input-shape-not-list"),
+    pytest.param("seed", "0", id="seed-not-int"),
+])
+def test_checkpoint_header_bad_field(tmp_path, field, value):
+    path = tmp_path / "m.munn"
+    header = {"input_shape": [6], "specs": [], "head": {"kind": "logistic", "dim": 4},
+              "seed": 0, field: value}
+    _write_header(path, json.dumps(header).encode("utf-8"))
+    with pytest.raises(ConfigInvalid):
+        load_model(path)
+
+
 # --------------------------------------------------------------- determinism
 
 def test_training_steps_bit_deterministic():

@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from genrekit.errors import ConfigInvalid, EmptyAlbum, MissingModality, NonFiniteLoss
+from genrekit.cli import main
+from genrekit.errors import (
+    ConfigInvalid,
+    EmptyAlbum,
+    IdCountMismatch,
+    IoError,
+    MissingModality,
+    NonFiniteLoss,
+)
 from genrekit.nn import make_optimizer
 from genrekit.zoo import (
     AudioCnnConfig,
@@ -214,3 +222,22 @@ def test_feature_vector_roundtrip(tmp_path):
     got, got_ids = load_feature_vectors(path)
     np.testing.assert_array_equal(got, mat)
     assert got_ids == ids
+
+
+def test_feature_vectors_missing_ids_sidecar(tmp_path):
+    path = tmp_path / "f.mufv"
+    save_feature_vectors(np.ones((3, 2)), ["a", "b", "c"], path)
+    (tmp_path / "f.mufv.ids").unlink()
+    with pytest.raises(IoError):
+        load_feature_vectors(path)
+    assert main(["fuse", f"A={path}", "--out", str(tmp_path / "o.mufv")]) == 3
+
+
+def test_feature_vectors_ids_count_mismatch(tmp_path):
+    path = tmp_path / "f.mufv"
+    save_feature_vectors(np.ones((3, 2)), ["a", "b", "c"], path)
+    for text, n_ids in (("a\n", 1), ("a\nb\nc\nd\n", 4)):
+        (tmp_path / "f.mufv.ids").write_text(text)
+        with pytest.raises(IdCountMismatch, match=f"3 rows but {n_ids} ids"):
+            load_feature_vectors(path)
+        assert main(["fuse", f"A={path}", "--out", str(tmp_path / "o.mufv")]) == 3
