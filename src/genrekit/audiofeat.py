@@ -5,12 +5,12 @@ Spectrograms arrive precomputed (96 frequency bins expected); no signal
 processing happens here.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, NonFiniteValue, StatsDimensionMismatch, TruncatedFile
+from . import binfile
+from .errors import BadMagic, StatsDimensionMismatch
 
 SPECTROGRAM_MAGIC = b"MUCQ"
 TIMBRE_MAGIC = b"MUTB"
@@ -30,51 +30,36 @@ class Spectrogram:
         return self.values.shape[1]
 
 
-def _save_matrix(values, path, magic):
-    values = np.asarray(values)
-    n_bins, n_frames = values.shape
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<III", 1, n_bins, n_frames))
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+def _write_matrix(path, magic, values):
+    """Version 1, rows, columns, then the values as f32 (read back as f64)."""
+    rows, cols = np.shape(values)
+    binfile.write(path, magic, binfile.fields(1, rows, cols), np.asarray(values, "<f4"))
 
 
-def _load_matrix(path, magic):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != magic:
-        raise BadMagic(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
-    if len(data) < 16:
-        raise TruncatedFile(path)
-    version, n_bins, n_frames = struct.unpack("<III", data[4:16])
-    if version != 1:
-        raise BadMagic(f"{path}: unsupported version {version}")
-    need = 16 + 4 * n_bins * n_frames
-    if len(data) < need:
-        raise TruncatedFile(f"{path}: expected {need} bytes, got {len(data)}")
-    values = np.frombuffer(data[16:need], dtype="<f4").reshape(n_bins, n_frames)
-    values = values.astype(np.float64)
-    if not np.isfinite(values).all():
-        raise NonFiniteValue(path)
-    return values
+def _read_matrix(path, magic):
+    with binfile.reader(path, magic) as frame:
+        version, rows, cols = frame.fields(3)
+        if version != 1:
+            raise BadMagic(f"{path}: unsupported version {version}")
+        return frame.array("<f4", (rows, cols)).astype(np.float64)
 
 
 def save_spectrogram(spec, path):
-    _save_matrix(spec.values, path, SPECTROGRAM_MAGIC)
+    _write_matrix(path, SPECTROGRAM_MAGIC, spec.values)
 
 
 def load_spectrogram(path):
-    return Spectrogram(_load_matrix(path, SPECTROGRAM_MAGIC))
+    return Spectrogram(_read_matrix(path, SPECTROGRAM_MAGIC))
 
 
 def save_timbre(values, path):
     if values.shape[0] != 12:
         raise StatsDimensionMismatch("timbre matrices have exactly 12 rows")
-    _save_matrix(values, path, TIMBRE_MAGIC)
+    _write_matrix(path, TIMBRE_MAGIC, values)
 
 
 def load_timbre(path):
-    values = _load_matrix(path, TIMBRE_MAGIC)
+    values = _read_matrix(path, TIMBRE_MAGIC)
     if values.shape[0] != 12:
         raise StatsDimensionMismatch(f"{path}: expected 12 rows, got {values.shape[0]}")
     return values

@@ -1,0 +1,84 @@
+"""The binary frame behind every artifact format, and checked file reads.
+
+An artifact is a 4-byte magic, then little-endian ``<I`` header fields and
+typed arrays in the order its format fixes, and nothing after them.  A read
+fails with a ``DataError`` (CLI exit 3): ``IoError``, ``BadMagic``,
+``TruncatedFile`` (checked before allocating), ``NonFiniteValue`` or
+``TrailingBytes``.
+"""
+
+import math
+import struct
+from contextlib import contextmanager
+
+import numpy as np
+
+from .errors import BadMagic, IoError, NonFiniteValue, TrailingBytes, TruncatedFile
+
+
+def read_text(path):
+    """A whole UTF-8 text file; IoError if it cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"{path}: cannot read: {exc}") from exc
+
+
+def fields(*values):
+    """Header fields as bytes."""
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def write(path, magic, *parts):
+    """`magic`, then each part: bytes as given, arrays in their own dtype."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(magic)
+            for part in parts:
+                fh.write(part if isinstance(part, bytes) else part.tobytes())
+    except OSError as exc:
+        raise IoError(f"{path}: cannot write: {exc}") from exc
+
+
+class Reader:
+    """Reads a file's frame front to back."""
+
+    def __init__(self, path, data):
+        self.path, self._data, self._pos = path, data, 4
+
+    def _take(self, n):
+        if n > len(self._data) - self._pos:
+            raise TruncatedFile(f"{self.path}: {n} more bytes needed at offset {self._pos}, "
+                                f"but the file has {len(self._data)}")
+        self._pos += n
+        return self._pos - n
+
+    def fields(self, n):
+        return struct.unpack_from(f"<{n}I", self._data, self._take(4 * n))
+
+    def array(self, dtype, shape):
+        """A read-only view of the next array; its float fields must be finite."""
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        values = np.frombuffer(self._data, dtype, count, self._take(dtype.itemsize * count))
+        for column in [values[name] for name in dtype.names] if dtype.names else [values]:
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                raise NonFiniteValue(f"{self.path}: non-finite value in a {dtype} array")
+        return values.reshape(shape)
+
+
+@contextmanager
+def reader(path, magic):
+    """A Reader over `path`; leaving the block checks every byte was read."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise IoError(f"{path}: cannot read: {exc}") from exc
+    if data[:4] != magic:
+        raise BadMagic(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+    frame = Reader(path, data)
+    yield frame
+    if frame._pos != len(data):
+        raise TrailingBytes(f"{path}: {len(data) - frame._pos} bytes after the last payload")

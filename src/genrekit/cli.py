@@ -4,14 +4,13 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-import numpy as np
-
-from . import experiment, labelspace, metrics, pipeline, textfeat, zoo
-from .errors import ConfigError, DataError, GenrekitError, NumericError
+from . import binfile, experiment, labelspace, metrics, pipeline, textfeat, zoo
+from .errors import ConfigError, DataError, GenrekitError, NumericError, ParseError
 from .nn import load_model
 
 
@@ -32,13 +31,9 @@ def _load_inputs(args):
 
 
 def _config(args, **overrides):
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = {}
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    return experiment.ExperimentConfig.from_dict(data)
+    cfg = (experiment.ExperimentConfig.from_json(args.config) if args.config
+           else experiment.ExperimentConfig())
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_synth(args):
@@ -73,37 +68,10 @@ def cmd_extract(args):
     cfg = _config(args, seed=args.seed)
     model = load_model(args.model)
     setup = experiment.prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
-    tr, va = setup.idx["train"], setup.idx["val"]
-    if cfg.modality == "text":
-        features, _ = experiment.text_features(manifest, cfg, tr + va)
-        mat = zoo.extract_features(model, features)
-        ids = manifest.ids()
-    elif cfg.modality == "timbre":
-        features = experiment._column_standardize(experiment.timbre_features(manifest), tr)
-        mat = zoo.extract_features(model, features)
-        ids = manifest.ids()
-    elif cfg.modality == "image":
-        features = experiment._column_standardize(experiment.image_features(manifest), tr)
-        mat = zoo.extract_features(model, features)
-        ids = manifest.ids()
-    elif cfg.modality == "audio":
-        from . import audiofeat
-        patches, album_of_track = experiment.audio_patches(manifest, cfg)
-        track_tag = np.array([setup.assignment.tags[manifest.items[a].id]
-                              for a in album_of_track])
-        stats = audiofeat.fit_bin_stats(patches[track_tag == "train"])
-        patches = audiofeat.standardize(patches, stats)[:, None, :, :]
-        track_feats = zoo.extract_features(model, patches, batch_size=cfg.batch_size)
-        grouped = {}
-        for feat, a in zip(track_feats, album_of_track):
-            grouped.setdefault(int(a), []).append(feat)
-        album_vecs = zoo.average_tracks(grouped)
-        mat = np.asarray([album_vecs[i] for i in range(len(manifest.items))])
-        ids = manifest.ids()
-    else:
-        raise ConfigError(f"extract does not support modality {cfg.modality!r}")
+    inputs, album_of_track = experiment.model_inputs(cfg, manifest, setup)
+    mat = experiment.album_features(model, inputs, album_of_track, cfg, len(manifest))
     out = args.out or "features.mufv"
-    zoo.save_feature_vectors(mat, ids, out)
+    zoo.save_feature_vectors(mat, manifest.ids(), out)
     print(f"wrote {out}: {mat.shape[0]} x {mat.shape[1]}")
 
 
@@ -132,6 +100,10 @@ def cmd_evaluate(args):
     setup = experiment.prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
     scores, ids = zoo.load_feature_vectors(args.predictions)
     pos = {item_id: i for i, item_id in enumerate(manifest.ids())}
+    unknown = [i for i in ids if i not in pos]
+    if unknown:
+        raise DataError(f"{args.predictions}: {len(unknown)} ids are not in the manifest, "
+                        f"e.g. {unknown[0]!r}")
     rows = [pos[i] for i in ids]
     truth = setup.truth[rows]
     report = metrics.evaluate(metrics.PredictionMatrix(scores, truth))
@@ -145,10 +117,7 @@ def cmd_evaluate(args):
 def cmd_experiment(args):
     manifest, tax = _load_inputs(args)
     out = args.out or "runs"
-    grid = None
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            grid = json.load(fh)
+    grid = experiment.read_json(args.config) if args.config else None
     rows, _results = experiment.run_grid(manifest, tax, out_root=out,
                                          seed=args.seed, grid=grid)
     table = experiment.report_table(rows)
@@ -176,8 +145,15 @@ def cmd_infogain(args):
 
 
 def cmd_report(args):
-    with open(args.rows, encoding="utf-8") as fh:
-        rows = [json.loads(ln) for ln in fh if ln.strip()]
+    rows = []
+    for line_no, line in enumerate(binfile.read_text(args.rows).split("\n"), start=1):
+        if line.strip():
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_no, f"{args.rows}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{args.rows}: no rows")
     print(experiment.report_table(rows), end="")
 
 

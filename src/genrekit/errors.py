@@ -75,6 +75,14 @@ class NonFiniteValue(DataError):
     pass
 
 
+class TrailingBytes(DataError):
+    pass
+
+
+class BadIndex(DataError):
+    pass
+
+
 class StatsDimensionMismatch(DataError):
     pass
 

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import audiofeat, labelspace, metrics, textfeat, zoo
-from .errors import ConfigError, DataError
+from . import audiofeat, binfile, labelspace, metrics, textfeat, zoo
+from .errors import ConfigError, ConfigInvalid, DataError
 from .nn import save_model
 from .pipeline import split
 
@@ -59,6 +59,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"a config must be a JSON object, got {data!r}")
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -67,8 +69,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
+
+
+def read_json(path):
+    """A JSON config file: IoError if unreadable, ConfigInvalid if not JSON."""
+    try:
+        return json.loads(binfile.read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"{path}: not JSON: {exc}") from exc
 
 
 @dataclass
@@ -185,6 +194,50 @@ def _column_standardize(features, train_positions):
     return (features - mean) / np.maximum(std, 1e-6)
 
 
+def model_inputs(cfg, manifest, setup):
+    """Model inputs of a single-modality row, with statistics fitted on its
+    training split (the vocabulary on train+validation).  Audio gives
+    standardized patches, one per track, and each track's album position;
+    the other modalities give one row per album and None."""
+    tr, va = setup.idx["train"], setup.idx["val"]
+    if cfg.modality == "audio":
+        patches, album_of_track = audio_patches(manifest, cfg)
+        stats = audiofeat.fit_bin_stats(patches[np.isin(album_of_track, tr)])
+        return audiofeat.standardize(patches, stats)[:, None, :, :], album_of_track
+    if cfg.modality == "text":
+        return text_features(manifest, cfg, tr + va)[0], None
+    if cfg.modality == "timbre":
+        return _column_standardize(timbre_features(manifest), tr), None
+    if cfg.modality == "image":
+        return _column_standardize(image_features(manifest), tr), None
+    raise ConfigError(f"modality {cfg.modality!r} has no single-modality inputs")
+
+
+def album_features(model, inputs, album_of_track, cfg, n_albums):
+    """Penultimate activations per album; per-track ones are averaged."""
+    if album_of_track is None:
+        return zoo.extract_features(model, inputs)
+    track_feats = zoo.extract_features(model, inputs, batch_size=cfg.batch_size)
+    grouped = {a: [] for a in range(n_albums)}
+    for feat, a in zip(track_feats, album_of_track):
+        grouped[int(a)].append(feat)
+    album_vecs = zoo.average_tracks(grouped)
+    return np.asarray([album_vecs[a] for a in range(n_albums)])
+
+
+def _fused_features(cfg, manifest):
+    vectors = {}
+    for mod in cfg.fusion_modalities:
+        path = cfg.feature_files.get(mod)
+        if path is None:
+            raise ConfigError(f"fusion needs feature_files[{mod!r}]")
+        mat, ids = zoo.load_feature_vectors(path)
+        if ids != manifest.ids():
+            raise DataError(f"feature file {path!r} ids do not match the manifest")
+        vectors[mod] = mat
+    return zoo.fuse(vectors, cfg.fusion_modalities).matrix
+
+
 # ------------------------------------------------------------ orchestration
 
 def _train_config(cfg, seed_offset=0):
@@ -233,39 +286,31 @@ def run_experiment(cfg, manifest, tax):
     n_out = (len(setup.kept_labels) if cfg.target == "logistic"
              else factor_model.label_factors.shape[1])
     tr, va = setup.idx["train"], setup.idx["val"]
-    feature_matrix = None
     histories = {}
+    if cfg.modality == "fusion":
+        features, album_of_track = _fused_features(cfg, manifest), None
+    else:
+        features, album_of_track = model_inputs(cfg, manifest, setup)
 
     if cfg.modality == "audio":
         width_name, shape_name = cfg.settings.split("-")
-        patches, album_of_track = audio_patches(manifest, cfg)
-        track_tag = np.array([setup.assignment.tags[manifest.items[a].id]
-                              for a in album_of_track])
-        stats = audiofeat.fit_bin_stats(patches[track_tag == "train"])
-        patches = audiofeat.standardize(patches, stats)[:, None, :, :]
-        track_targets = _targets(setup, factor_model, cfg,
-                                 album_of_track.tolist())  # tracks inherit album targets
+        # tracks inherit album targets
+        track_targets = _targets(setup, factor_model, cfg, album_of_track.tolist())
+        train_tracks, val_tracks = np.isin(album_of_track, tr), np.isin(album_of_track, va)
         cnn_cfg = zoo.AudioCnnConfig(filter_shape=shape_name, width=width_name,
                                      head=cfg.target)
-        cnn = zoo.build_audio_cnn(cnn_cfg, n_out, n_bins=patches.shape[2],
+        cnn = zoo.build_audio_cnn(cnn_cfg, n_out, n_bins=features.shape[2],
                                   width=cfg.patch_width, seed=cfg.seed)
         histories["track"] = zoo.train(
-            cnn, patches[track_tag == "train"], track_targets[track_tag == "train"],
-            patches[track_tag == "val"], track_targets[track_tag == "val"],
-            _train_config(cfg))
-        track_feats = zoo.extract_features(cnn, patches, batch_size=cfg.batch_size)
-        grouped = {}
-        for feat, a in zip(track_feats, album_of_track):
-            grouped.setdefault(int(a), []).append(feat)
-        album_vecs = zoo.average_tracks(grouped)
-        feature_matrix = np.asarray([album_vecs[i] for i in range(len(manifest.items))])
+            cnn, features[train_tracks], track_targets[train_tracks],
+            features[val_tracks], track_targets[val_tracks], _train_config(cfg))
+        feature_matrix = album_features(cnn, features, album_of_track, cfg, len(manifest))
         main_model = cnn
         model, history, pred = _shallow_stage(feature_matrix, setup, factor_model, cfg)
         histories["album"] = history
         save_model(cnn, os.path.join(cfg.out_dir, "track_model.munn"))
 
     elif cfg.modality == "text":
-        features, _vocab = text_features(manifest, cfg, tr + va)
         model = zoo.build_text_mlp(n_out, cfg.target, in_dim=features.shape[1],
                                    seed=cfg.seed)
         histories["main"] = zoo.train(
@@ -277,38 +322,13 @@ def run_experiment(cfg, manifest, tax):
                                   setup, factor_model, cfg)
         main_model = model
 
-    elif cfg.modality == "timbre":
-        features = _column_standardize(timbre_features(manifest), tr)
+    else:  # timbre, image, fusion: one shallow model on per-album vectors
+        dropout = (FUSION_COSINE_DROPOUT
+                   if cfg.modality == "fusion" and cfg.target == "cosine" else 0.0)
         model, history, pred = _shallow_stage(features, setup, factor_model, cfg,
-                                              seed_offset=0)
-        histories["main"] = history
-        feature_matrix = features
-        main_model = model
-
-    elif cfg.modality == "image":
-        features = _column_standardize(image_features(manifest), tr)
-        model, history, pred = _shallow_stage(features, setup, factor_model, cfg,
-                                              seed_offset=0)
-        histories["main"] = history
-        feature_matrix = features
-        main_model = model
-
-    else:  # fusion
-        vectors = {}
-        for mod in cfg.fusion_modalities:
-            path = cfg.feature_files.get(mod)
-            if path is None:
-                raise ConfigError(f"fusion needs feature_files[{mod!r}]")
-            mat, ids = zoo.load_feature_vectors(path)
-            if ids != manifest.ids():
-                raise DataError(f"feature file {path!r} ids do not match the manifest")
-            vectors[mod] = mat
-        fused = zoo.fuse(vectors, cfg.fusion_modalities)
-        dropout = FUSION_COSINE_DROPOUT if cfg.target == "cosine" else 0.0
-        model, history, pred = _shallow_stage(fused.matrix, setup, factor_model, cfg,
                                               in_dropout=dropout, seed_offset=0)
         histories["main"] = history
-        feature_matrix = fused.matrix
+        feature_matrix = features
         main_model = model
 
     report = metrics.evaluate(pred)
@@ -381,6 +401,8 @@ def run_grid(manifest, tax, out_root="runs", seed=42, grid=None, fusion_targets=
     """Run single-modality rows, then late-fusion rows on the best
     (by AUC) feature vectors of each modality."""
     grid = grid if grid is not None else default_grid(seed, out_root)
+    if not isinstance(grid, list):
+        raise ConfigInvalid(f"a grid must be a list of row configs, got {grid!r}")
     rows = []
     results = []
     best = {}  # modality letter -> (auc, features path)
@@ -422,13 +444,17 @@ def report_table(rows):
     header = ["Modality", "Target", "Settings", "Params", "Time", "AUC", "C@1", "C@3", "C@5"]
     body = []
     for r in rows:
-        body.append([
-            r["modality"], r["target"], r["settings"],
-            format_params(r["params"]),
-            f"{r['epoch_seconds']:.1f}s",
-            f"{r['auc']:.3f}",
-            *(f"{r[k]:.2f}" if r.get(k) is not None else "-" for k in ("c@1", "c@3", "c@5")),
-        ])
+        try:
+            body.append([
+                r["modality"], r["target"], r["settings"],
+                format_params(r["params"]),
+                f"{r['epoch_seconds']:.1f}s",
+                f"{r['auc']:.3f}",
+                *(f"{r[k]:.2f}" if r.get(k) is not None else "-"
+                  for k in ("c@1", "c@3", "c@5")),
+            ])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad report row {r!r}: {exc!r}") from exc
     widths = [max(len(header[i]), *(len(row[i]) for row in body)) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))

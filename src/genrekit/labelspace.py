@@ -7,11 +7,11 @@ factorized with an SVD to obtain low-dimensional label factors; item factors
 are the l2-normalized sums of their labels' factor rows.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import binfile
 from .errors import (
     AllLabelsPruned,
     DepthExceeded,
@@ -87,9 +87,8 @@ def parse_taxonomy(branch_paths):
 
 def load_taxonomy(path):
     """Read a taxonomy file: UTF-8, one branch path per line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    return parse_taxonomy(lines)
+    lines = binfile.read_text(path).split("\n")
+    return parse_taxonomy([ln.strip() for ln in lines if ln.strip()])
 
 
 def save_taxonomy(tax, path):
@@ -258,29 +257,14 @@ FACTOR_MAGIC = b"MUF1"
 
 
 def save_factor_model(model, path):
-    n, d = model.label_factors.shape
-    with open(path, "wb") as fh:
-        fh.write(FACTOR_MAGIC)
-        fh.write(struct.pack("<II", n, d))
-        fh.write(np.ascontiguousarray(model.label_factors, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.singular_values, dtype="<f8").tobytes())
+    factors = np.asarray(model.label_factors, "<f8")
+    binfile.write(path, FACTOR_MAGIC, binfile.fields(*factors.shape), factors,
+                  np.asarray(model.singular_values, "<f8"))
 
 
 def load_factor_model(path):
-    from .errors import BadMagic, TruncatedFile
-
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != FACTOR_MAGIC:
-        raise BadMagic(f"expected {FACTOR_MAGIC!r}")
-    if len(data) < 12:
-        raise TruncatedFile(path)
-    n, d = struct.unpack("<II", data[4:12])
-    need = 12 + 8 * (n * d + d)
-    if len(data) < need:
-        raise TruncatedFile(path)
-    off = 12
-    lf = np.frombuffer(data[off:off + 8 * n * d], dtype="<f8").reshape(n, d).copy()
-    off += 8 * n * d
-    sv = np.frombuffer(data[off:off + 8 * d], dtype="<f8").copy()
-    return FactorModel(d, lf, sv)
+    with binfile.reader(path, FACTOR_MAGIC) as frame:
+        n, d = frame.fields(2)
+        label_factors = frame.array("<f8", (n, d)).copy()
+        singular_values = frame.array("<f8", (d,)).copy()
+    return FactorModel(d, label_factors, singular_values)

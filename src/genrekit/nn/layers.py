@@ -58,9 +58,6 @@ class Dense(Layer):
     def spec(self):
         return {"kind": "dense", "out": self.w.shape[1]}
 
-    def out_shape(self, in_shape):
-        return (self.w.shape[1],)
-
     def forward(self, x, train=False, rng=None, freeze_dropout=False):
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeMismatch(f"dense expects (B, {self.w.shape[0]}), got {x.shape}")
@@ -89,13 +86,6 @@ class Conv2d(Layer):
         f, _, kh, kw = self.w.shape
         return {"kind": "conv2d", "filters": f, "kh": kh, "kw": kw}
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        f, _, kh, kw = self.w.shape
-        if kh > h or kw > w:
-            raise ShapeMismatch(f"kernel ({kh},{kw}) larger than input ({h},{w})")
-        return (f, h - kh + 1, w - kw + 1)
-
     def forward(self, x, train=False, rng=None, freeze_dropout=False):
         if x.ndim != 4 or x.shape[1] != self.w.shape[1]:
             raise ShapeMismatch(f"conv2d expects (B, {self.w.shape[1]}, H, W), got {x.shape}")
@@ -118,12 +108,6 @@ class MaxPool(Layer):
     def spec(self):
         return {"kind": "maxpool", "ph": self.ph, "pw": self.pw}
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if self.ph > h or self.pw > w:
-            raise ShapeMismatch(f"pool ({self.ph},{self.pw}) larger than input ({h},{w})")
-        return (c, h // self.ph, w // self.pw)
-
     def forward(self, x, train=False, rng=None, freeze_dropout=False):
         self._shape = x.shape
         out, self._arg = kernels.maxpool_forward(np.ascontiguousarray(x), self.ph, self.pw)
@@ -138,9 +122,6 @@ class ReLU(Layer):
     def spec(self):
         return {"kind": "relu"}
 
-    def out_shape(self, in_shape):
-        return in_shape
-
     def forward(self, x, train=False, rng=None, freeze_dropout=False):
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
@@ -152,9 +133,6 @@ class ReLU(Layer):
 class Sigmoid(Layer):
     def spec(self):
         return {"kind": "sigmoid"}
-
-    def out_shape(self, in_shape):
-        return in_shape
 
     def forward(self, x, train=False, rng=None, freeze_dropout=False):
         y = np.empty_like(x)
@@ -181,9 +159,6 @@ class Dropout(Layer):
     def spec(self):
         return {"kind": "dropout", "rate": self.rate}
 
-    def out_shape(self, in_shape):
-        return in_shape
-
     def forward(self, x, train=False, rng=None, freeze_dropout=False):
         if not train or self.rate == 0.0:
             self._mask = None
@@ -203,12 +178,6 @@ class Dropout(Layer):
 class Flatten(Layer):
     def spec(self):
         return {"kind": "flatten"}
-
-    def out_shape(self, in_shape):
-        out = 1
-        for s in in_shape:
-            out *= s
-        return (out,)
 
     def forward(self, x, train=False, rng=None, freeze_dropout=False):
         self._shape = x.shape

@@ -3,11 +3,12 @@ with exact analytic gradients and a finite-difference checker.
 """
 
 import json
-import struct
+import math
 
 import numpy as np
 
-from ..errors import BadMagic, ConfigInvalid, ShapeMismatch, TruncatedFile
+from .. import binfile
+from ..errors import ConfigInvalid, ShapeMismatch
 from .layers import Conv2d, Dense, Dropout, Flatten, MaxPool, ReLU, Sigmoid
 
 BCE_CLAMP = 1e-7
@@ -60,33 +61,74 @@ def _int_field(spec, key, what):
     return int(value)
 
 
-def _build_layer(spec, in_shape, rng):
+def _layer_shapes(spec, in_shape):
+    """Check one layer spec against its input shape without allocating.
+    Returns (its integer fields, its parameter shapes, its output shape)."""
     if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
         raise ConfigInvalid(f"layer spec must be an object with a 'kind', got {spec!r}")
     kind = spec["kind"]
     dims = [_int_field(spec, key, f"{kind} layer") for key in _INT_FIELDS.get(kind, ())]
+    if any(n < 1 for n in dims):
+        raise ConfigInvalid(f"{kind} layer sizes must be >= 1, got {dims}")
     if kind == "dense":
         if len(in_shape) != 1:
             raise ConfigInvalid("dense needs a flat input; add a flatten layer")
-        return Dense(in_shape[0], dims[0], rng, init=spec.get("init", "he"))
-    if kind == "conv2d":
+        return dims, [(in_shape[0], dims[0]), (dims[0],)], (dims[0],)
+    if kind in ("conv2d", "maxpool"):
         if len(in_shape) != 3:
-            raise ConfigInvalid("conv2d needs (C, H, W) input")
-        return Conv2d(in_shape[0], *dims, rng)
-    if kind == "maxpool":
-        return MaxPool(*dims)
-    if kind == "relu":
-        return ReLU()
-    if kind == "sigmoid":
-        return Sigmoid()
+            raise ConfigInvalid(f"{kind} needs (C, H, W) input")
+        c, h, w = in_shape
+        kh, kw = dims[-2:]
+        if kh > h or kw > w:
+            raise ShapeMismatch(f"{kind} window ({kh},{kw}) larger than input ({h},{w})")
+        if kind == "maxpool":
+            return dims, [], (c, h // kh, w // kw)
+        return dims, [(dims[0], c, kh, kw), (dims[0],)], (dims[0], h - kh + 1, w - kw + 1)
     if kind == "dropout":
         rate = spec.get("rate")
         if isinstance(rate, bool) or not isinstance(rate, (int, float)):
             raise ConfigInvalid(f"dropout layer needs a numeric 'rate', got {rate!r}")
-        return Dropout(rate)
-    if kind == "flatten":
-        return Flatten()
-    raise ConfigInvalid(f"unknown layer kind {kind!r}")
+    elif kind == "flatten":
+        return dims, [], (math.prod(in_shape),)
+    elif kind not in ("relu", "sigmoid"):
+        raise ConfigInvalid(f"unknown layer kind {kind!r}")
+    return dims, [], in_shape
+
+
+def _plan(input_shape, specs, head):
+    """Check a whole graph description without allocating: one
+    (spec, integer fields, input shape, parameter shapes) per layer, the
+    head's dense layer last."""
+    if not isinstance(head, dict) or head.get("kind") not in ("logistic", "cosine"):
+        raise ConfigInvalid(f"head must have kind 'logistic' or 'cosine', got {head!r}")
+    if _int_field(head, "dim", "head") < 1:
+        raise ConfigInvalid("head dim must be >= 1")
+    if not isinstance(specs, (list, tuple)):
+        raise ConfigInvalid(f"layer specs must be a list, got {specs!r}")
+    plan = []
+    shape = tuple(input_shape)
+    for spec in specs:
+        dims, params, out = _layer_shapes(spec, shape)
+        plan.append((spec, dims, shape, params))
+        shape = out
+    if len(shape) != 1:
+        raise ConfigInvalid("head needs a flat input; add a flatten layer")
+    head_spec = {"kind": "dense", "out": head["dim"], "init": "xavier"}
+    dims, params, _ = _layer_shapes(head_spec, shape)
+    return plan + [(head_spec, dims, shape, params)]
+
+
+def _build_layer(spec, dims, in_shape, rng):
+    kind = spec["kind"]
+    if kind == "dense":
+        return Dense(in_shape[0], dims[0], rng, init=spec.get("init", "he"))
+    if kind == "conv2d":
+        return Conv2d(in_shape[0], *dims, rng)
+    if kind == "maxpool":
+        return MaxPool(*dims)
+    if kind == "dropout":
+        return Dropout(spec["rate"])
+    return {"relu": ReLU, "sigmoid": Sigmoid, "flatten": Flatten}[kind]()
 
 
 class ModelGraph:
@@ -99,27 +141,14 @@ class ModelGraph:
     """
 
     def __init__(self, input_shape, specs, head, seed):
-        if not isinstance(head, dict) or head.get("kind") not in ("logistic", "cosine"):
-            raise ConfigInvalid(f"head must have kind 'logistic' or 'cosine', got {head!r}")
-        if _int_field(head, "dim", "head") < 1:
-            raise ConfigInvalid("head dim must be >= 1")
-        if not isinstance(specs, (list, tuple)):
-            raise ConfigInvalid(f"layer specs must be a list, got {specs!r}")
+        plan = _plan(input_shape, specs, head)
         self.input_shape = tuple(input_shape)
         self.head = dict(head)
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.layers = []
-        shape = self.input_shape
-        for spec in specs:
-            layer = _build_layer(spec, shape, rng)
-            shape = layer.out_shape(shape)
-            self.layers.append(layer)
-        if len(shape) != 1:
-            raise ConfigInvalid("head needs a flat input; add a flatten layer")
-        self.feature_dim = shape[0]
-        head_spec = {"kind": "dense", "out": head["dim"], "init": "xavier"}
-        self.head_dense = _build_layer(head_spec, shape, rng)
+        *self.layers, self.head_dense = [
+            _build_layer(spec, dims, shape, rng) for spec, dims, shape, _ in plan]
+        self.feature_dim = plan[-1][2][0]
         self._out = None
         # backward stops at the lowest layer with parameters (the head at
         # the latest): no caller reads the input gradient below it
@@ -255,6 +284,7 @@ HEADER_KEYS = frozenset(("input_shape", "specs", "head", "seed"))
 
 
 def save_model(model, path):
+    """Header length, the JSON header, then every parameter block as f64."""
     header = {
         "input_shape": list(model.input_shape),
         "specs": [layer.spec() for layer in model.layers],
@@ -262,48 +292,31 @@ def save_model(model, path):
         "seed": model.seed,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, layer, attr in model.param_blocks():
-            fh.write(np.ascontiguousarray(getattr(layer, attr), dtype="<f8").tobytes())
+    params = [np.asarray(getattr(layer, attr), "<f8") for _, layer, attr in model.param_blocks()]
+    binfile.write(path, MODEL_MAGIC, binfile.fields(len(blob)), blob, *params)
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MODEL_MAGIC:
-        raise BadMagic(f"expected {MODEL_MAGIC!r}")
-    if len(data) < 8:
-        raise TruncatedFile(path)
-    (hlen,) = struct.unpack("<I", data[4:8])
-    if len(data) < 8 + hlen:
-        raise TruncatedFile(f"{path}: header of {hlen} bytes runs past the end")
-    try:
-        header = json.loads(data[8:8 + hlen].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise ConfigInvalid(f"{path}: model header is not JSON: {exc}") from exc
-    missing = HEADER_KEYS.difference(header) if isinstance(header, dict) else HEADER_KEYS
-    if missing:
-        raise ConfigInvalid(f"{path}: model header lacks {sorted(missing)}")
-    shape = header["input_shape"]
-    if not isinstance(shape, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape):
-        raise ConfigInvalid(f"{path}: input_shape must be positive integers, got {shape!r}")
-    if _int_field(header, "seed", "model header") < 0:
-        raise ConfigInvalid(f"{path}: seed must be >= 0")
-    model = ModelGraph(tuple(header["input_shape"]), header["specs"],
-                       header["head"], header["seed"])
-    off = 8 + hlen
-    arrays = []
-    for _, layer, attr in model.param_blocks():
-        shape = getattr(layer, attr).shape
-        count = int(np.prod(shape))
-        need = off + 8 * count
-        if len(data) < need:
-            raise TruncatedFile(path)
-        arrays.append(np.frombuffer(data[off:need], dtype="<f8").reshape(shape).copy())
-        off = need
+    """The payload must hold exactly the parameters the header declares;
+    that is checked before any weight is allocated."""
+    with binfile.reader(path, MODEL_MAGIC) as frame:
+        blob = frame.array("u1", frame.fields(1)).tobytes()
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise ConfigInvalid(f"{path}: model header is not JSON: {exc}") from exc
+        missing = HEADER_KEYS.difference(header) if isinstance(header, dict) else HEADER_KEYS
+        if missing:
+            raise ConfigInvalid(f"{path}: model header lacks {sorted(missing)}")
+        shape = header["input_shape"]
+        if not isinstance(shape, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape):
+            raise ConfigInvalid(f"{path}: input_shape must be positive integers, got {shape!r}")
+        if _int_field(header, "seed", "model header") < 0:
+            raise ConfigInvalid(f"{path}: seed must be >= 0")
+        args = (tuple(shape), header["specs"], header["head"])
+        arrays = [frame.array("<f8", block)
+                  for *_, blocks in _plan(*args) for block in blocks]
+    model = ModelGraph(*args, header["seed"])
     model.set_params(arrays)
     return model

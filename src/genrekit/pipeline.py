@@ -8,12 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import binfile
 from .audiofeat import Spectrogram, save_spectrogram, save_timbre
 from .errors import DanglingPath, DuplicateId, IoError, ParseError, TooFewItems
 from .labelspace import parse_taxonomy, save_taxonomy
 from .zoo import save_feature_vectors
 
 _ITEM_FIELDS = {"id", "labels", "tracks", "reviews", "enrichment", "image_vec", "timbre"}
+_LIST_FIELDS = ("labels", "tracks", "reviews", "enrichment", "timbre")
 
 
 @dataclass
@@ -42,45 +44,56 @@ class Manifest:
         return [it.id for it in self.items]
 
 
+def _check_types(rec, line_no):
+    if not isinstance(rec["id"], str):
+        raise ParseError(line_no, f"id must be a string, got {rec['id']!r}")
+    for key in _LIST_FIELDS:
+        value = rec.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ParseError(line_no, f"{key!r} must be a list of strings, got {value!r}")
+    if not isinstance(rec.get("image_vec"), (str, type(None))):
+        raise ParseError(line_no, f"'image_vec' must be a string, got {rec['image_vec']!r}")
+
+
 def load_manifest(path):
     """JSON-lines manifest; paths are relative to the manifest's directory."""
     base_dir = os.path.dirname(os.path.abspath(path))
     items = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, str(exc)) from exc
-            if not isinstance(rec, dict):
-                raise ParseError(line_no, "record is not an object")
-            unknown = set(rec) - _ITEM_FIELDS
-            if unknown:
-                raise ParseError(line_no, f"unknown fields {sorted(unknown)}")
-            if "id" not in rec:
-                raise ParseError(line_no, "missing id")
-            if rec["id"] in seen:
-                raise DuplicateId(f"line {line_no}: duplicate id {rec['id']!r}")
-            seen.add(rec["id"])
-            if not rec.get("labels"):
-                raise ParseError(line_no, "item has no labels")
-            item = ManifestItem(
-                id=str(rec["id"]),
-                labels=list(rec["labels"]),
-                tracks=list(rec.get("tracks", [])),
-                reviews=list(rec.get("reviews", [])),
-                enrichment=list(rec.get("enrichment", [])),
-                image_vec=rec.get("image_vec"),
-                timbre=list(rec.get("timbre", [])),
-            )
-            for rel in item.tracks + item.timbre + ([item.image_vec] if item.image_vec else []):
-                if not os.path.exists(os.path.join(base_dir, rel)):
-                    raise DanglingPath(f"line {line_no}: missing file {rel!r}")
-            items.append(item)
+    for line_no, line in enumerate(binfile.read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, str(exc)) from exc
+        if not isinstance(rec, dict):
+            raise ParseError(line_no, "record is not an object")
+        unknown = set(rec) - _ITEM_FIELDS
+        if unknown:
+            raise ParseError(line_no, f"unknown fields {sorted(unknown)}")
+        if "id" not in rec:
+            raise ParseError(line_no, "missing id")
+        _check_types(rec, line_no)
+        if rec["id"] in seen:
+            raise DuplicateId(f"line {line_no}: duplicate id {rec['id']!r}")
+        seen.add(rec["id"])
+        if not rec.get("labels"):
+            raise ParseError(line_no, "item has no labels")
+        item = ManifestItem(
+            id=rec["id"],
+            labels=rec["labels"],
+            tracks=rec.get("tracks", []),
+            reviews=rec.get("reviews", []),
+            enrichment=rec.get("enrichment", []),
+            image_vec=rec.get("image_vec"),
+            timbre=rec.get("timbre", []),
+        )
+        for rel in item.tracks + item.timbre + ([item.image_vec] if item.image_vec else []):
+            if not os.path.exists(os.path.join(base_dir, rel)):
+                raise DanglingPath(f"line {line_no}: missing file {rel!r}")
+        items.append(item)
     return Manifest(items, base_dir)
 
 

@@ -8,13 +8,13 @@ supports the per-genre term analysis.
 """
 
 import re
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import BadMagic, DegenerateLabel, EmptyCorpus, TruncatedFile
+from . import binfile
+from .errors import BadIndex, DegenerateLabel, EmptyCorpus
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -146,49 +146,32 @@ def term_information_gain(doc_term_sets, label_column):
 # ------------------------------------------------------------- serialization
 
 SPARSE_MAGIC = b"MUSP"
+SPARSE_ENTRY = np.dtype([("j", "<u4"), ("v", "<f8")])  # packed, 12 bytes
 
 
 def save_tfidf(tfidf_matrix, path):
+    """Rows, vocabulary size, then per row its entry count and entries."""
     mat = tfidf_matrix.matrix.tocsr()
-    m, v = mat.shape
-    with open(path, "wb") as fh:
-        fh.write(SPARSE_MAGIC)
-        fh.write(struct.pack("<II", m, v))
-        for i in range(m):
-            lo, hi = mat.indptr[i], mat.indptr[i + 1]
-            fh.write(struct.pack("<I", hi - lo))
-            for j, val in zip(mat.indices[lo:hi], mat.data[lo:hi]):
-                fh.write(struct.pack("<Id", int(j), float(val)))
+    entries = np.empty(mat.nnz, SPARSE_ENTRY)
+    entries["j"], entries["v"] = mat.indices, mat.data
+    parts = [binfile.fields(*mat.shape)]
+    for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:]):
+        parts += [binfile.fields(hi - lo), entries[lo:hi]]
+    binfile.write(path, SPARSE_MAGIC, *parts)
 
 
 def load_tfidf(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != SPARSE_MAGIC:
-        raise BadMagic(f"expected {SPARSE_MAGIC!r}")
-    if len(data) < 12:
-        raise TruncatedFile(path)
-    m, v = struct.unpack("<II", data[4:12])
-    off = 12
-    indptr = [0]
-    indices = []
-    vals = []
-    for _ in range(m):
-        if off + 4 > len(data):
-            raise TruncatedFile(path)
-        (nnz,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if off + 12 * nnz > len(data):
-            raise TruncatedFile(path)
-        for _ in range(nnz):
-            j, val = struct.unpack_from("<Id", data, off)
-            off += 12
-            indices.append(j)
-            vals.append(val)
-        indptr.append(len(indices))
-    mat = sparse.csr_matrix(
-        (np.array(vals), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(m, v),
-    )
-    zero_rows = [i for i in range(m) if mat.indptr[i] == mat.indptr[i + 1]]
-    return TfIdfMatrix(mat, zero_rows)
+    with binfile.reader(path, SPARSE_MAGIC) as frame:
+        m, v = frame.fields(2)
+        rows = [frame.array(SPARSE_ENTRY, frame.fields(1)) for _ in range(m)]
+    entries = np.concatenate([np.empty(0, SPARSE_ENTRY), *rows])
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = entries["j"].astype(np.int64)
+    if indices.size and indices.max() >= v:
+        raise BadIndex(f"{path}: term index {indices.max()} >= vocabulary size {v}")
+    keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr)) * v + indices
+    if np.unique(keys).size != keys.size:
+        raise BadIndex(f"{path}: a row repeats a term index")
+    mat = sparse.csr_matrix((np.ascontiguousarray(entries["v"]), indices, indptr),
+                            shape=(m, v))
+    return TfIdfMatrix(mat, np.flatnonzero(np.diff(indptr) == 0).tolist())

@@ -4,21 +4,18 @@ and late fusion of per-modality vectors.
 """
 
 import json
-import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import binfile
 from .errors import (
-    BadMagic,
     ConfigInvalid,
     EmptyAlbum,
     IdCountMismatch,
-    IoError,
     MissingModality,
     NonFiniteLoss,
-    TruncatedFile,
 )
 from .nn import ModelGraph, make_optimizer
 
@@ -277,36 +274,21 @@ FEATURE_MAGIC = b"MUFV"
 
 
 def save_feature_vectors(matrix, item_ids, path):
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix, dtype="<f8")
     m, dim = matrix.shape
     if len(item_ids) != m:
         raise ConfigInvalid("item id count does not match matrix rows")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", m, dim))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+    binfile.write(path, FEATURE_MAGIC, binfile.fields(m, dim), matrix)
     with open(str(path) + ".ids", "w", encoding="utf-8") as fh:
-        for item_id in item_ids:
-            fh.write(str(item_id) + "\n")
+        fh.write("".join(f"{item_id}\n" for item_id in item_ids))
 
 
 def load_feature_vectors(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != FEATURE_MAGIC:
-        raise BadMagic(f"expected {FEATURE_MAGIC!r}")
-    if len(data) < 12:
-        raise TruncatedFile(path)
-    m, dim = struct.unpack("<II", data[4:12])
-    need = 12 + 8 * m * dim
-    if len(data) < need:
-        raise TruncatedFile(path)
-    matrix = np.frombuffer(data[12:need], dtype="<f8").reshape(m, dim).copy()
-    try:
-        with open(str(path) + ".ids", encoding="utf-8") as fh:
-            item_ids = [ln.strip() for ln in fh if ln.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"{path}: cannot read its .ids sidecar: {exc}") from exc
+    with binfile.reader(path, FEATURE_MAGIC) as frame:
+        m, dim = frame.fields(2)
+        matrix = frame.array("<f8", (m, dim)).copy()
+    lines = binfile.read_text(str(path) + ".ids").split("\n")
+    item_ids = [ln.strip() for ln in lines if ln.strip()]
     if len(item_ids) != m:
         raise IdCountMismatch(f"{path}: {m} rows but {len(item_ids)} ids in its .ids sidecar")
     return matrix, item_ids

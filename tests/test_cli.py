@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from genrekit.cli import main
-from genrekit.pipeline import save_manifest
+from genrekit.pipeline import SynthSpec, save_manifest, synth_dataset
+from genrekit.zoo import save_feature_vectors
 
 
 def test_synth_and_factorize(tmp_path, capsys):
@@ -109,3 +111,81 @@ def test_exit_code_data_error(tmp_path, capsys):
     tax.write_text("genre00\n")
     code = main(["train", "--manifest", str(bad), "--taxonomy", str(tax)])
     assert code == 3
+
+
+@pytest.fixture(scope="module")
+def tiny_ds(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_ds")
+    synth_dataset(SynthSpec(n_top_genres=2, subs_per_genre=2, albums=20, tracks_per_album=1,
+                            seed=5, min_frames=60, max_frames=80, image_dim=8), root)
+    return ["--manifest", str(root / "manifest.jsonl"),
+            "--taxonomy", str(root / "taxonomy.txt")]
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+ROW = {"modality": "text", "target": "logistic", "settings": "vsm", "params": 1,
+       "epoch_seconds": 0.1, "auc": 0.5}
+
+
+@pytest.mark.parametrize("case,code", [
+    ("missing-manifest", 3), ("missing-taxonomy", 3), ("missing-config", 3),
+    ("missing-rows", 3), ("missing-predictions", 3),
+    ("train-config-not-json", 2), ("experiment-config-not-json", 2),
+    ("infogain-config-not-json", 2), ("train-config-not-object", 2),
+    ("experiment-config-not-list", 2),
+    ("evaluate-unknown-ids", 3), ("report-rows-not-json", 3),
+    ("report-row-lacks-column", 3), ("report-no-rows", 3),
+])
+def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
+    missing = str(tmp_path / "absent")
+    not_json = _write(tmp_path / "bad.json", "{modality: text")
+    listed = _write(tmp_path / "list.json", "[1]")
+    rows = tmp_path / "rows.jsonl"
+    preds = tmp_path / "p.mufv"
+    save_feature_vectors(np.zeros((2, 3)), ["nope1", "nope2"], preds)
+    argv = {
+        "missing-manifest": ["train", "--manifest", missing, *tiny_ds[2:]],
+        "missing-taxonomy": ["train", *tiny_ds[:2], "--taxonomy", missing],
+        "missing-config": ["train", *tiny_ds, "--config", missing],
+        "missing-rows": ["report", "--rows", missing],
+        "missing-predictions": ["evaluate", *tiny_ds, "--predictions", missing],
+        "train-config-not-json": ["train", *tiny_ds, "--config", not_json],
+        "experiment-config-not-json": ["experiment", *tiny_ds, "--config", not_json,
+                                       "--out", str(tmp_path / "runs")],
+        "infogain-config-not-json": ["infogain", *tiny_ds, "--config", not_json,
+                                     "--label", "genre00"],
+        "train-config-not-object": ["train", *tiny_ds, "--config", listed],
+        "experiment-config-not-list": ["experiment", *tiny_ds, "--config",
+                                       _write(tmp_path / "obj.json", "{}"),
+                                       "--out", str(tmp_path / "runs")],
+        "evaluate-unknown-ids": ["evaluate", *tiny_ds, "--predictions", str(preds)],
+        "report-rows-not-json": ["report", "--rows", _write(rows, "{broken\n")],
+        "report-row-lacks-column": [
+            "report", "--rows", _write(rows, json.dumps(
+                {k: v for k, v in ROW.items() if k != "auc"}) + "\n")],
+        "report-no-rows": ["report", "--rows", _write(rows, "\n")],
+    }[case]
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row,checkpoint", [
+    ({"modality": "text", "settings": "vsm", "epochs": 2}, "model.munn"),
+    ({"modality": "timbre", "settings": "timbre-mlp", "epochs": 3}, "model.munn"),
+    ({"modality": "audio", "settings": "low-4x70", "epochs": 1, "patch_width": 48,
+      "batch_size": 8}, "track_model.munn"),
+])
+def test_extract_matches_the_rows_features(tmp_path, capsys, tiny_ds, row, checkpoint):
+    cfg = _write(tmp_path / "cfg.json", json.dumps(row))
+    run = tmp_path / "run"
+    assert main(["train", *tiny_ds, "--config", cfg, "--out", str(run)]) == 0
+    out = tmp_path / "x.mufv"
+    assert main(["extract", *tiny_ds, "--config", cfg, "--model", str(run / checkpoint),
+                 "--out", str(out)]) == 0
+    for suffix in ("", ".ids"):
+        assert (tmp_path / f"x.mufv{suffix}").read_bytes() == \
+            (run / f"features.mufv{suffix}").read_bytes()

@@ -1,0 +1,197 @@
+"""All six binary artifact formats: pinned bytes and hostile-input behaviour."""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from genrekit.audiofeat import (
+    Spectrogram,
+    load_spectrogram,
+    load_timbre,
+    save_spectrogram,
+    save_timbre,
+)
+from genrekit.errors import (
+    BadIndex,
+    GenrekitError,
+    IoError,
+    NonFiniteValue,
+    TrailingBytes,
+)
+from genrekit.labelspace import FactorModel, load_factor_model, save_factor_model
+from genrekit.nn import ModelGraph, load_model, save_model
+from genrekit.textfeat import build_vocabulary, load_tfidf, save_tfidf, tfidf
+from genrekit.zoo import load_feature_vectors, save_feature_vectors
+
+
+def _tfidf():
+    corpus = [["aa", "bb"], [], ["cc", "aa", "aa"], ["bb"]]
+    return tfidf(corpus, build_vocabulary([c for c in corpus if c], max_size=10))
+
+
+def _model():
+    specs = [{"kind": "conv2d", "filters": 2, "kh": 2, "kw": 3}, {"kind": "relu"},
+             {"kind": "maxpool", "ph": 1, "pw": 1}, {"kind": "flatten"},
+             {"kind": "dense", "out": 3}, {"kind": "dropout", "rate": 0.5}]
+    return ModelGraph((1, 4, 5), specs, {"kind": "cosine", "dim": 2}, seed=3)
+
+
+def _csr_arrays(m):
+    return [m.matrix.indptr, m.matrix.indices, m.matrix.data]
+
+
+# name -> (save(obj, path), load(path) -> arrays to compare, fixed input)
+FORMATS = {
+    "MUCQ": (lambda v, p: save_spectrogram(Spectrogram(v), p),
+             lambda p: [load_spectrogram(p).values],
+             np.arange(12.0).reshape(3, 4) / 8 - 0.5),
+    "MUTB": (save_timbre, lambda p: [load_timbre(p)],
+             np.linspace(-1.0, 1.0, 36).reshape(12, 3)),
+    "MUSP": (save_tfidf, lambda p: _csr_arrays(load_tfidf(p)), _tfidf()),
+    "MUFV": (lambda v, p: save_feature_vectors(v, ["x1", "x2"], p),
+             lambda p: [load_feature_vectors(p)[0]],
+             np.arange(6.0).reshape(2, 3) * 0.25),
+    "MUF1": (save_factor_model,
+             lambda p: [(f := load_factor_model(p)).label_factors, f.singular_values],
+             FactorModel(2, np.array([[0.6, -0.8], [1.0, 0.0], [0.0, 1.0]]),
+                         np.array([2.5, 0.5]))),
+    "MUNN": (save_model, lambda p: load_model(p).get_params(), _model()),
+}
+
+# sha256 of each save_* on its fixed input: the on-disk layout is pinned
+GOLDEN = {
+    "MUCQ": "9869fb417b356e9e3bcd88fc0137a4ef07e8ad797fcf23096cf73de698e8f338",
+    "MUTB": "4292e453f6355733835a248e707bacd915ece51631ae51f3c51f8d2de3b2c25d",
+    "MUSP": "3dd180c5aad4b08c7ef61d6d2990b6870b48658d71a03f45e13d508e413841c8",
+    "MUFV": "00f6e68c1e04b6c93f3f23fc8cd31e206fbfd36598a8f5eb88eade9a8bac1269",
+    "MUFV.ids": "bcd36a814884aa63ca5e0d9fda82814069d2dc2daf6ba12b7c8e129ff02f169a",
+    "MUF1": "0d41356686f0882f87beaea09ca1718f27f2ca89f704b751de923da5f9c4fffe",
+    "MUNN": "78bacdcc8299b0420c31e87e375d7c39518e19dff54e00f72c17bb15ce4f9657",
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_save_bytes_are_pinned(tmp_path, fmt):
+    save, _, obj = FORMATS[fmt]
+    path = tmp_path / "f.bin"
+    save(obj, path)
+    assert _sha(path) == GOLDEN[fmt]
+    if fmt == "MUFV":
+        assert _sha(tmp_path / "f.bin.ids") == GOLDEN["MUFV.ids"]
+
+
+def _differing(got, want):
+    """Elements that differ between two equal-shaped array lists, or None
+    when the shapes differ."""
+    if [np.shape(a) for a in got] != [np.shape(a) for a in want]:
+        return None
+    return sum(int(np.count_nonzero(np.asarray(a) != np.asarray(b)))
+               for a, b in zip(got, want))
+
+
+@st.composite
+def mutations(draw, n):
+    kind = draw(st.sampled_from(["truncate", "flip", "append"]))
+    if kind == "truncate":
+        return kind, draw(st.integers(0, n - 1)), 0
+    if kind == "flip":
+        return kind, draw(st.integers(0, n - 1)), draw(st.integers(1, 255))
+    return kind, n, draw(st.integers(0, 255))
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_file_loads_or_raises(tmp_path, fmt, data):
+    """A cut or lengthened file always raises a GenrekitError.  A flipped
+    byte raises one, or it loads to the original arrays with at most one
+    element changed (a payload value: the formats carry no checksum)."""
+    save, load, obj = FORMATS[fmt]
+    path = tmp_path / "f.bin"
+    save(obj, path)
+    want = load(path)
+    original = path.read_bytes()
+    kind, pos, byte = data.draw(mutations(len(original)))
+    if kind == "truncate":
+        mutant = original[:pos]
+    elif kind == "flip":
+        mutant = original[:pos] + bytes([original[pos] ^ byte]) + original[pos + 1:]
+    else:
+        mutant = original + bytes([byte])
+    path.write_bytes(mutant)
+    try:
+        got = load(path)
+    except GenrekitError:
+        return
+    assert kind == "flip", f"{kind} at {pos} loaded without error"
+    changed = _differing(got, want)
+    assert changed is not None and changed <= 1, f"flip at {pos} ^ {byte}: {changed}"
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_missing_file_is_io_error(tmp_path, fmt):
+    with pytest.raises(IoError):
+        FORMATS[fmt][1](tmp_path / "absent.bin")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_trailing_byte_is_rejected(tmp_path, fmt):
+    save, load, obj = FORMATS[fmt]
+    path = tmp_path / "f.bin"
+    save(obj, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(TrailingBytes):
+        load(path)
+
+
+def _musp(entries, m=1, v=3):
+    """One MUSP row holding `entries`, (index, value) pairs."""
+    body = struct.pack("<I", len(entries)) + b"".join(
+        struct.pack("<Id", j, x) for j, x in entries)
+    return b"MUSP" + struct.pack("<II", m, v) + body
+
+
+@pytest.mark.parametrize("entries,error", [
+    pytest.param([(99, 1.0)], BadIndex, id="index-past-vocabulary"),
+    pytest.param([(3, 1.0)], BadIndex, id="index-equals-vocabulary"),
+    pytest.param([(1, 0.5), (1, 0.5)], BadIndex, id="duplicate-index"),
+    pytest.param([(0, float("nan"))], NonFiniteValue, id="nan"),
+    pytest.param([(0, float("inf"))], NonFiniteValue, id="inf"),
+])
+def test_tfidf_rejects_bad_entries(tmp_path, entries, error):
+    path = tmp_path / "t.musp"
+    path.write_bytes(_musp(entries))
+    with pytest.raises(error):
+        load_tfidf(path)
+
+
+def test_tfidf_accepts_last_index(tmp_path):
+    path = tmp_path / "t.musp"
+    path.write_bytes(_musp([(2, 0.5), (0, 1.0)]))
+    np.testing.assert_array_equal(load_tfidf(path).matrix.toarray(), [[1.0, 0.0, 0.5]])
+
+
+@pytest.mark.parametrize("fmt", ["MUTB", "MUFV", "MUF1", "MUNN"])
+def test_non_finite_payload_is_rejected(tmp_path, fmt):
+    save, load, _ = FORMATS[fmt]
+    obj = {
+        "MUTB": np.full((12, 1), np.inf),
+        "MUFV": np.array([[1.0, np.nan, 2.0], [0.0, 0.0, 0.0]]),
+        "MUF1": FactorModel(1, np.array([[np.nan]]), np.array([1.0])),
+        "MUNN": _model(),
+    }[fmt]
+    if fmt == "MUNN":
+        obj.head_dense.b[1] = -np.inf
+    path = tmp_path / "f.bin"
+    save(obj, path)
+    with pytest.raises(NonFiniteValue):
+        load(path)

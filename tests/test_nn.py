@@ -1,10 +1,11 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from genrekit.errors import ConfigInvalid, ShapeMismatch, TruncatedFile
+from genrekit.errors import ConfigInvalid, DataError, ShapeMismatch, TruncatedFile
 from genrekit.nn import (
     Adam,
     ModelGraph,
@@ -401,6 +402,35 @@ def test_checkpoint_header_bad_field(tmp_path, field, value):
     _write_header(path, json.dumps(header).encode("utf-8"))
     with pytest.raises(ConfigInvalid):
         load_model(path)
+
+
+def test_checkpoint_payload_must_match_header(tmp_path):
+    path = tmp_path / "m.munn"
+    save_model(small_mlp(), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-8])
+    with pytest.raises(TruncatedFile):
+        load_model(path)
+    path.write_bytes(data + b"\x00" * 8)
+    with pytest.raises(DataError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("n", [2000, 10**6])
+def test_checkpoint_huge_header_is_rejected_before_allocating(tmp_path, n):
+    """A header declaring an n x n head with no payload behind it."""
+    path = tmp_path / "m.munn"
+    header = {"input_shape": [n], "specs": [], "head": {"kind": "logistic", "dim": n},
+              "seed": 0}
+    _write_header(path, json.dumps(header).encode("utf-8"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFile):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --------------------------------------------------------------- determinism

@@ -8,6 +8,7 @@ import pytest
 from genrekit.errors import (
     DanglingPath,
     DuplicateId,
+    IoError,
     ParseError,
     TooFewItems,
 )
@@ -75,6 +76,28 @@ def test_manifest_dangling_path(tmp_path):
     path = write_manifest(
         tmp_path, ['{"id": "a1", "labels": ["X"], "tracks": ["missing.mucq"]}'])
     with pytest.raises(DanglingPath):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("field", [
+    '"id": [1]', '"id": 7', '"labels": "genre00"', '"labels": [1]', '"reviews": 5',
+    '"tracks": "x.mucq"', '"enrichment": [null]', '"timbre": {}', '"image_vec": 5',
+])
+def test_manifest_rejects_wrong_field_type(tmp_path, field):
+    rec = {"id": "a2", "labels": ["X"]}
+    rec.update(json.loads("{" + field + "}"))
+    path = write_manifest(tmp_path, ['{"id": "a1", "labels": ["X"]}', json.dumps(rec)])
+    with pytest.raises(ParseError) as exc:
+        load_manifest(path)
+    assert exc.value.line_no == 2
+
+
+def test_manifest_unreadable_is_io_error(tmp_path):
+    with pytest.raises(IoError):
+        load_manifest(tmp_path / "absent.jsonl")
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes('{"id": "a1", "labels": ["Caf\u00e9"]}\n'.encode("latin-1"))
+    with pytest.raises(IoError):
         load_manifest(path)
 
 
