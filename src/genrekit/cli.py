@@ -14,10 +14,15 @@ from .errors import ConfigError, DataError, GenrekitError, NumericError, ParseEr
 from .nn import load_model
 
 
+DEFAULT_SEED = 42
+
+
 def _add_common(parser):
     parser.add_argument("--manifest", help="manifest.jsonl path")
     parser.add_argument("--taxonomy", help="taxonomy file path")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int,
+                        help=f"overrides a config's seed (default: the config's, else "
+                             f"{DEFAULT_SEED})")
     parser.add_argument("--out", help="output file or directory")
     parser.add_argument("--config", help="experiment config JSON")
 
@@ -40,7 +45,8 @@ def cmd_synth(args):
     out = args.out or "synth_data"
     spec = pipeline.SynthSpec(
         n_top_genres=args.top_genres, subs_per_genre=args.subs_per_genre,
-        albums=args.albums, tracks_per_album=args.tracks_per_album, seed=args.seed)
+        albums=args.albums, tracks_per_album=args.tracks_per_album,
+        seed=DEFAULT_SEED if args.seed is None else args.seed)
     manifest, tax = pipeline.synth_dataset(spec, out)
     print(f"wrote {len(manifest)} albums, {tax.n_labels} labels under {out}")
 
@@ -118,8 +124,9 @@ def cmd_experiment(args):
     manifest, tax = _load_inputs(args)
     out = args.out or "runs"
     grid = experiment.read_json(args.config) if args.config else None
-    rows, _results = experiment.run_grid(manifest, tax, out_root=out,
-                                         seed=args.seed, grid=grid)
+    rows, _results = experiment.run_grid(
+        manifest, tax, out_root=out, seed=DEFAULT_SEED if args.seed is None else args.seed,
+        grid=grid)
     table = experiment.report_table(rows)
     with open(os.path.join(out, "rows.jsonl"), "w", encoding="utf-8") as fh:
         for row in rows:
@@ -173,7 +180,7 @@ def build_parser():
 
     p = sub.add_parser("factorize", help="fit label factors on train+validation")
     _add_common(p)
-    p.add_argument("--d", type=int, default=50)
+    p.add_argument("--d", type=int, help="label factor dims (default: the config's, else 50)")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("train", help="train one experiment row")

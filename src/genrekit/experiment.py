@@ -27,6 +27,10 @@ _SETTINGS_BY_MODALITY = {
     "fusion": ("mlp",),
 }
 FUSION_COSINE_DROPOUT = 0.7
+# integer fields and their least valid value
+_INT_FIELD_MINIMA = {"d": 1, "seed": 0, "min_label_support": 1, "patch_width": 1,
+                     "vocab_size": 1, "truncate_chars": 1, "batch_size": 1, "epochs": 1,
+                     "patience": 1}
 
 
 @dataclass
@@ -56,6 +60,10 @@ class ExperimentConfig:
         if self.settings not in _SETTINGS_BY_MODALITY[self.modality]:
             raise ConfigError(
                 f"settings {self.settings!r} invalid for modality {self.modality!r}")
+        for name, least in _INT_FIELD_MINIMA.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ConfigInvalid(f"{name} must be an integer >= {least}, got {value!r}")
 
     @classmethod
     def from_dict(cls, data):

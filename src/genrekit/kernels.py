@@ -9,8 +9,14 @@ group of a call.  The cap keeps memory bounded: unrolling a whole batch of
 the first audio stage (70x4 filters over 96x96 patches) would copy ~90 MB,
 where the buffer holds one sample's 5.6 MB.  Grouping keeps late stages
 fast: their maps are 3x3 or 1x1, and a GEMM per sample there ran 2-3x
-(3x3) to over 10x (1x1) slower than one many samples wide.  Pooling is an
-``argmax`` over reshaped windows.  Every kernel is deterministic run-to-run.
+(3x3) to over 10x (1x1) slower than one many samples wide.
+
+Pooling reads the input through its ph*pw strided offset views, one per
+window position, and takes an in-place ``np.maximum`` over them: no window
+copy is made.  The argmax (the first window position holding the maximum)
+is counted in the same view order, and only when a backward pass will need
+it; the backward writes ``dout`` into one offset view of ``dx`` at a time.
+Every kernel is deterministic run-to-run.
 """
 
 import numpy as np
@@ -72,28 +78,44 @@ def conv2d_backward(x, w, dout, need_dx=True):
     return dx, dw.reshape(w.shape), db
 
 
-def maxpool_forward(x, ph, pw):
+def _offset_views(a, ph, pw, oh, ow):
+    """The ph*pw strided views a[:, :, i::ph, j::pw] cut to (oh, ow), in
+    window order: k = i*pw + j."""
+    return [a[:, :, i:oh * ph:ph, j:ow * pw:pw] for i in range(ph) for j in range(pw)]
+
+
+def maxpool_forward(x, ph, pw, need_arg=True):
     """Non-overlapping max pool; trailing rows/cols that do not fill a
-    window are dropped. Returns (out, argmax-within-window)."""
-    B, C, H, W = x.shape
-    OH, OW = H // ph, W // pw
-    xc = x[:, :, :OH * ph, :OW * pw]
-    win = xc.reshape(B, C, OH, ph, OW, pw).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(B, C, OH, OW, ph * pw)
-    arg = win.argmax(axis=-1).astype(np.int64)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    window are dropped.  Returns (out, arg): arg holds each window's first
+    position of its maximum, k = i*pw + j, in the smallest unsigned dtype
+    that holds ph*pw-1.  With ``need_arg=False`` arg is None and not computed.
+    """
+    oh, ow = x.shape[2] // ph, x.shape[3] // pw
+    views = _offset_views(x, ph, pw, oh, ow)
+    out = views[0].copy()
+    for v in views[1:]:
+        np.maximum(out, v, out=out)
+    if not need_arg:
+        return out, None
+    # arg counts the leading positions that miss the maximum: `todo` holds
+    # while every position so far missed, and the last position needs no test
+    todo = np.not_equal(views[0], out)
+    arg = todo.astype(np.min_scalar_type(ph * pw - 1))
+    miss = np.empty(out.shape, dtype=bool)
+    for v in views[1:-1]:
+        np.not_equal(v, out, out=miss)
+        todo &= miss
+        arg += todo
     return out, arg
 
 
 def maxpool_backward(dout, arg, x_shape, ph, pw):
     """Routes gradient to the argmax position of each pooling window."""
-    B, C, H, W = x_shape
-    OH, OW = dout.shape[2], dout.shape[3]
-    dwin = np.zeros((B, C, OH, OW, ph * pw))
-    np.put_along_axis(dwin, arg[..., None], dout[..., None], axis=-1)
-    dwin = dwin.reshape(B, C, OH, OW, ph, pw).transpose(0, 1, 2, 4, 3, 5)
     dx = np.zeros(x_shape)
-    dx[:, :, :OH * ph, :OW * pw] = dwin.reshape(B, C, OH * ph, OW * pw)
+    hit = np.empty(arg.shape, dtype=bool)
+    for k, view in enumerate(_offset_views(dx, ph, pw, *arg.shape[2:])):
+        np.equal(arg, k, out=hit)
+        np.copyto(view, dout, where=hit)
     return dx
 
 

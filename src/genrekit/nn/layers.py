@@ -104,18 +104,21 @@ class MaxPool(Layer):
             raise ConfigInvalid("pool dims must be >= 1")
         self.ph = ph
         self.pw = pw
+        self._arg = None
 
     def spec(self):
         return {"kind": "maxpool", "ph": self.ph, "pw": self.pw}
 
     def forward(self, x, train=False, rng=None, freeze_dropout=False):
         self._shape = x.shape
-        out, self._arg = kernels.maxpool_forward(np.ascontiguousarray(x), self.ph, self.pw)
+        # only a train-mode forward is followed by a backward
+        out, self._arg = kernels.maxpool_forward(x, self.ph, self.pw, need_arg=train)
         return out
 
     def backward(self, dout):
-        return kernels.maxpool_backward(
-            np.ascontiguousarray(dout), self._arg, self._shape, self.ph, self.pw)
+        if self._arg is None:
+            raise ConfigInvalid("maxpool backward needs a forward with train=True first")
+        return kernels.maxpool_backward(dout, self._arg, self._shape, self.ph, self.pw)
 
 
 class ReLU(Layer):

@@ -12,6 +12,7 @@ import numpy as np
 from . import binfile
 from .errors import (
     ConfigInvalid,
+    DataError,
     EmptyAlbum,
     IdCountMismatch,
     MissingModality,
@@ -74,15 +75,23 @@ def _conv_plan(filter_shape, layer_idx, h, w):
 
 
 def build_audio_cnn(cfg, out_dim, n_bins=96, width=323, seed=0):
-    """Four conv+ReLU+maxpool stages, flatten, 512-unit feature layer,
-    optional dropout, head."""
+    """Four conv+maxpool+ReLU stages, flatten, 512-unit feature layer,
+    optional dropout, head.
+
+    Pooling before the ReLU gives the same outputs and gradients as the
+    usual conv+ReLU+maxpool, bit for bit, while the ReLU touches 1/(ph*pw)
+    of the values.  Both only compare and copy values: a window whose
+    maximum is > 0 passes that value and routes its gradient to the same
+    first argmax in either order, and a window whose maximum is <= 0
+    yields +0.0 and a +0.0 gradient everywhere in either order.
+    """
     specs = []
     h, w = n_bins, width
     for i, n_filters in enumerate(cfg.widths):
         kh, kw, ph, pw, h, w = _conv_plan(cfg.filter_shape, i, h, w)
         specs.append({"kind": "conv2d", "filters": n_filters, "kh": kh, "kw": kw})
-        specs.append({"kind": "relu"})
         specs.append({"kind": "maxpool", "ph": ph, "pw": pw})
+        specs.append({"kind": "relu"})
         if h < 1 or w < 1:
             raise ConfigInvalid(f"input {n_bins}x{width} too small for 4 conv stages")
     specs.append({"kind": "flatten"})
@@ -274,10 +283,18 @@ FEATURE_MAGIC = b"MUFV"
 
 
 def save_feature_vectors(matrix, item_ids, path):
+    """The matrix, and its item ids one per line in a ``.ids`` sidecar.  An id
+    the sidecar cannot give back unchanged is refused before anything is
+    written: a non-string or empty id, one with leading or trailing
+    whitespace (the loader strips lines), or one holding a line break."""
     matrix = np.asarray(matrix, dtype="<f8")
     m, dim = matrix.shape
     if len(item_ids) != m:
         raise ConfigInvalid("item id count does not match matrix rows")
+    for item_id in item_ids:
+        if (not isinstance(item_id, str) or not item_id or item_id != item_id.strip()
+                or "\n" in item_id or "\r" in item_id):
+            raise DataError(f"item id {item_id!r} cannot be stored in an .ids sidecar")
     binfile.write(path, FEATURE_MAGIC, binfile.fields(m, dim), matrix)
     with open(str(path) + ".ids", "w", encoding="utf-8") as fh:
         fh.write("".join(f"{item_id}\n" for item_id in item_ids))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from genrekit.cli import main
-from genrekit.pipeline import SynthSpec, save_manifest, synth_dataset
+from genrekit.experiment import ExperimentConfig, run_experiment
+from genrekit.labelspace import load_taxonomy
+from genrekit.pipeline import SynthSpec, load_manifest, save_manifest, synth_dataset
 from genrekit.zoo import save_feature_vectors
 
 
@@ -138,7 +140,7 @@ ROW = {"modality": "text", "target": "logistic", "settings": "vsm", "params": 1,
     ("infogain-config-not-json", 2), ("train-config-not-object", 2),
     ("experiment-config-not-list", 2),
     ("evaluate-unknown-ids", 3), ("report-rows-not-json", 3),
-    ("report-row-lacks-column", 3), ("report-no-rows", 3),
+    ("report-row-lacks-column", 3), ("report-no-rows", 3), ("train-config-epochs-str", 2),
 ])
 def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
     missing = str(tmp_path / "absent")
@@ -168,6 +170,9 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
             "report", "--rows", _write(rows, json.dumps(
                 {k: v for k, v in ROW.items() if k != "auc"}) + "\n")],
         "report-no-rows": ["report", "--rows", _write(rows, "\n")],
+        "train-config-epochs-str": ["train", *tiny_ds, "--config", _write(
+            tmp_path / "epochs.json",
+            '{"modality": "timbre", "settings": "timbre-mlp", "epochs": "3"}')],
     }[case]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
@@ -189,3 +194,17 @@ def test_extract_matches_the_rows_features(tmp_path, capsys, tiny_ds, row, check
     for suffix in ("", ".ids"):
         assert (tmp_path / f"x.mufv{suffix}").read_bytes() == \
             (run / f"features.mufv{suffix}").read_bytes()
+
+
+def test_extract_keeps_the_config_seed(tmp_path, capsys, tiny_ds):
+    """Without --seed, extract uses the seed in --config: the split, and so the
+    standardization statistics, are the row's own."""
+    row = {"modality": "audio", "settings": "low-4x70", "epochs": 1, "patch_width": 48,
+           "batch_size": 8, "seed": 1, "out_dir": str(tmp_path / "run")}
+    manifest, tax = load_manifest(tiny_ds[1]), load_taxonomy(tiny_ds[3])
+    run_experiment(ExperimentConfig(**row), manifest, tax)
+    cfg = _write(tmp_path / "cfg.json", json.dumps(row))
+    out = tmp_path / "x.mufv"
+    assert main(["extract", *tiny_ds, "--config", cfg, "--model",
+                 str(tmp_path / "run" / "track_model.munn"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "run" / "features.mufv").read_bytes()

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from genrekit.errors import ConfigError
+from genrekit.errors import ConfigError, ConfigInvalid
 from genrekit.experiment import (
     ExperimentConfig,
     fit_factors,
@@ -53,6 +53,22 @@ def test_config_from_json(tmp_path):
     cfg = ExperimentConfig.from_json(path)
     assert cfg.modality == "timbre"
     assert cfg.epochs == 3
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "3"), ("batch_size", "x"), ("patience", 2.0), ("d", True), ("seed", None),
+    ("min_label_support", [1]), ("patch_width", 0), ("vocab_size", -5),
+    ("truncate_chars", 0), ("epochs", 0), ("seed", -1), ("seed", False),
+])
+def test_config_rejects_bad_integer_fields(field, value):
+    with pytest.raises(ConfigInvalid, match=field):
+        ExperimentConfig.from_dict({"modality": "timbre", "settings": "timbre-mlp",
+                                    field: value})
+
+
+def test_config_accepts_least_integer_values():
+    cfg = ExperimentConfig(seed=0, d=1, epochs=1, patience=1, batch_size=1)
+    assert (cfg.seed, cfg.d, cfg.epochs) == (0, 1, 1)
 
 
 # -------------------------------------------------------------- label setup

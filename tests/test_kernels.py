@@ -229,3 +229,73 @@ def test_maxpool_backward_routes_all_gradient():
 
 def test_backend_name():
     assert backend() == "numpy"
+
+
+# ------------------------------------------- pooling against the reshape oracle
+
+def maxpool_forward_oracle(x, ph, pw):
+    """Reshape the windows to (B, C, OH, OW, ph*pw) and take the first argmax."""
+    B, C, H, W = x.shape
+    OH, OW = H // ph, W // pw
+    win = x[:, :, :OH * ph, :OW * pw].reshape(B, C, OH, ph, OW, pw)
+    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(B, C, OH, OW, ph * pw)
+    arg = win.argmax(axis=-1)
+    return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0], arg
+
+
+def maxpool_backward_oracle(dout, arg, x_shape, ph, pw):
+    B, C, H, W = x_shape
+    OH, OW = dout.shape[2], dout.shape[3]
+    dwin = np.zeros((B, C, OH, OW, ph * pw))
+    np.put_along_axis(dwin, arg[..., None].astype(np.int64), dout[..., None], axis=-1)
+    dwin = dwin.reshape(B, C, OH, OW, ph, pw).transpose(0, 1, 2, 4, 3, 5)
+    dx = np.zeros(x_shape)
+    dx[:, :, :OH * ph, :OW * pw] = dwin.reshape(B, C, OH * ph, OW * pw)
+    return dx
+
+
+def assert_pool_matches_oracle(x, ph, pw, dout):
+    out, arg = maxpool_forward(x, ph, pw)
+    want_out, want_arg = maxpool_forward_oracle(x, ph, pw)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(arg, want_arg)
+    assert arg.dtype == np.min_scalar_type(ph * pw - 1)
+    np.testing.assert_array_equal(maxpool_backward(dout, arg, x.shape, ph, pw),
+                                  maxpool_backward_oracle(dout, want_arg, x.shape, ph, pw))
+    no_arg_out, none = maxpool_forward(x, ph, pw, need_arg=False)
+    assert none is None
+    np.testing.assert_array_equal(no_arg_out, want_out)
+
+
+@st.composite
+def pool_cases(draw):
+    B, C = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    H, W = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    ph, pw = draw(st.integers(1, H)), draw(st.integers(1, W))
+    return B, C, H, W, ph, pw, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_cases())
+def test_maxpool_property_equals_reshape_oracle(case):
+    """Values drawn from a few small integers, zeros and negative zeros, so
+    most windows hold exact ties, many of them at the maximum."""
+    B, C, H, W, ph, pw, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 3.0], size=(B, C, H, W))
+    dout = rng.normal(size=(B, C, H // ph, W // pw))
+    assert_pool_matches_oracle(x, ph, pw, dout)
+
+
+@pytest.mark.parametrize("ph,pw,dtype", [(1, 1, np.uint8), (16, 16, np.uint8),
+                                         (16, 17, np.uint16), (20, 30, np.uint16)])
+def test_maxpool_argmax_dtype_holds_every_position(ph, pw, dtype):
+    """Above 256 window positions the argmax no longer fits in a byte."""
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(2, 2, 2 * ph + 1, pw))
+    x[0, 0, :ph, :pw] = 0.0
+    x[0, 0, ph - 1, pw - 1] = 5.0  # the window's last position
+    out, arg = maxpool_forward(x, ph, pw)
+    assert arg.dtype == dtype
+    assert arg[0, 0, 0, 0] == ph * pw - 1
+    assert_pool_matches_oracle(x, ph, pw, rng.normal(size=out.shape))

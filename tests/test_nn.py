@@ -267,6 +267,63 @@ def test_backward_stops_at_lowest_parameter_layer(build):
         np.testing.assert_array_equal(got, want)
 
 
+# ------------------------------------------------------------------- pooling
+
+def two_stage_cnn(pool_first):
+    """Two conv stages, each conv -> relu -> maxpool or conv -> maxpool -> relu."""
+    specs = []
+    for filters, pool in ((3, (2, 2)), (2, (1, 2))):
+        stage = [{"kind": "relu"}, {"kind": "maxpool", "ph": pool[0], "pw": pool[1]}]
+        specs.append({"kind": "conv2d", "filters": filters, "kh": 2, "kw": 2})
+        specs.extend(stage[::-1] if pool_first else stage)
+    specs += [{"kind": "flatten"}, {"kind": "dense", "out": 4}, {"kind": "relu"}]
+    model = ModelGraph((1, 7, 9), specs, {"kind": "logistic", "dim": 3}, seed=11)
+    params = model.get_params()
+    # first stage: filter 0 never fires and filter 1 always does, so the
+    # pools see all-zero (post-ReLU) windows and windows of exact ties
+    params[1][:] = [-50.0, 50.0, 0.0]
+    model.set_params(params)
+    return model
+
+
+def test_pool_before_relu_is_bit_identical():
+    """Max-pooling commutes with ReLU, gradients included: outputs and every
+    parameter gradient are equal to the bit."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(5, 1, 7, 9))
+    x[:, :, 2:6, 3:8] = 0.0  # conv output equals the bias there: tied windows
+    y = rng.integers(0, 2, size=(5, 3)).astype(float)
+    runs = []
+    for model in (two_stage_cnn(False), two_stage_cnn(True)):
+        out = model.forward(x, train=True, rng=np.random.default_rng(13))
+        _, dz = model.loss_grad(y)
+        model.backward(dz)
+        runs.append((out, model.features().copy(), model.forward(x), model.grads()))
+    (out_a, feat_a, eval_a, grads_a), (out_b, feat_b, eval_b, grads_b) = runs
+    np.testing.assert_array_equal(out_a, out_b)
+    np.testing.assert_array_equal(feat_a, feat_b)
+    np.testing.assert_array_equal(eval_a, eval_b)
+    assert (feat_a == 0).any() and (feat_a > 0).any()
+    for got, want in zip(grads_b, grads_a):
+        np.testing.assert_array_equal(got, want)
+    assert any((g != 0).any() for g in grads_a[:2])
+
+
+def test_maxpool_backward_after_eval_forward_raises():
+    from genrekit.errors import GenrekitError
+    from genrekit.nn.layers import MaxPool
+    layer = MaxPool(2, 2)
+    x = np.random.default_rng(14).normal(size=(1, 1, 4, 4))
+    layer.forward(x, train=False)
+    with pytest.raises(GenrekitError, match="train=True"):
+        layer.backward(np.ones((1, 1, 2, 2)))
+    layer.forward(x, train=True)
+    layer.backward(np.ones((1, 1, 2, 2)))
+    layer.forward(x, train=False)
+    with pytest.raises(GenrekitError, match="train=True"):
+        layer.backward(np.ones((1, 1, 2, 2)))
+
+
 # ------------------------------------------------------------------- dropout
 
 def test_dropout_eval_mode_is_identity():

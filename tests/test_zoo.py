@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genrekit.cli import main
 from genrekit.errors import (
     ConfigInvalid,
+    DataError,
     EmptyAlbum,
     IdCountMismatch,
     IoError,
@@ -241,3 +244,24 @@ def test_feature_vectors_ids_count_mismatch(tmp_path):
         with pytest.raises(IdCountMismatch, match=f"3 rows but {n_ids} ids"):
             load_feature_vectors(path)
         assert main(["fuse", f"A={path}", "--out", str(tmp_path / "o.mufv")]) == 3
+
+
+@pytest.mark.parametrize("bad", ["", " a", "b ", "a\nb", "a\rb", "\t", 7, None],
+                         ids=["empty", "leading-space", "trailing-space", "newline",
+                              "carriage-return", "tab-only", "int", "none"])
+def test_feature_vectors_refuse_ids_the_sidecar_cannot_keep(tmp_path, bad):
+    path = tmp_path / "f.mufv"
+    with pytest.raises(DataError):
+        save_feature_vectors(np.ones((2, 2)), ["ok", bad], path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4))
+def test_feature_vectors_accepted_ids_round_trip(tmp_path_factory, ids):
+    path = tmp_path_factory.mktemp("ids") / "f.mufv"
+    try:
+        save_feature_vectors(np.zeros((len(ids), 1)), ids, path)
+    except DataError:
+        return
+    assert load_feature_vectors(path)[1] == ids
