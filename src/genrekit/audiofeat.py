@@ -110,11 +110,6 @@ def standardize(patches, stats):
     return (patches - stats.mean[..., :, None]) / denom[..., :, None]
 
 
-def unstandardize(patches, stats):
-    denom = np.maximum(stats.std, BinStats.STD_FLOOR)
-    return np.asarray(patches) * denom[..., :, None] + stats.mean[..., :, None]
-
-
 def timbre_stats(timbre):
     """mean, max, population variance, l2-norm per coefficient row → 48-vector."""
     t = np.asarray(timbre, dtype=np.float64)

@@ -1,4 +1,6 @@
-"""The binary frame behind every artifact format, and checked file reads.
+"""The binary frame behind every artifact format, and checked file reads
+and writes.  No other module opens a file for writing; a failed write
+raises ``IoError``.
 
 An artifact is a 4-byte magic, then little-endian ``<I`` header fields and
 typed arrays in the order its format fixes, and nothing after them.  A read
@@ -8,6 +10,7 @@ fails with a ``DataError`` (CLI exit 3): ``IoError``, ``BadMagic``,
 """
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 
@@ -23,6 +26,23 @@ def read_text(path):
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"{path}: cannot read: {exc}") from exc
+
+
+def make_dirs(path):
+    """`path` and its missing parents; IoError if they cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"{path}: cannot make directory: {exc}") from exc
+
+
+def write_text(path, text):
+    """`text` as UTF-8; IoError if the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"{path}: cannot write: {exc}") from exc
 
 
 def fields(*values):
@@ -58,13 +78,12 @@ class Reader:
         return struct.unpack_from(f"<{n}I", self._data, self._take(4 * n))
 
     def array(self, dtype, shape):
-        """A read-only view of the next array; its float fields must be finite."""
+        """A read-only view of the next array; a float array must be finite."""
         dtype = np.dtype(dtype)
         count = math.prod(shape)
         values = np.frombuffer(self._data, dtype, count, self._take(dtype.itemsize * count))
-        for column in [values[name] for name in dtype.names] if dtype.names else [values]:
-            if column.dtype.kind == "f" and not np.isfinite(column).all():
-                raise NonFiniteValue(f"{self.path}: non-finite value in a {dtype} array")
+        if dtype.kind == "f" and not np.isfinite(values).all():
+            raise NonFiniteValue(f"{self.path}: non-finite value in a {dtype} array")
         return values.reshape(shape)
 
 

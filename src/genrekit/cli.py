@@ -17,14 +17,20 @@ from .nn import load_model
 DEFAULT_SEED = 42
 
 
-def _add_common(parser):
-    parser.add_argument("--manifest", help="manifest.jsonl path")
-    parser.add_argument("--taxonomy", help="taxonomy file path")
-    parser.add_argument("--seed", type=int,
-                        help=f"overrides a config's seed (default: the config's, else "
-                             f"{DEFAULT_SEED})")
-    parser.add_argument("--out", help="output file or directory")
-    parser.add_argument("--config", help="experiment config JSON")
+_OPTIONS = {
+    "manifest": {"help": "manifest.jsonl path"},
+    "taxonomy": {"help": "taxonomy file path"},
+    "seed": {"type": int, "help": f"overrides a config's seed (default: the config's, "
+                                  f"else {DEFAULT_SEED})"},
+    "out": {"help": "output file or directory"},
+    "config": {"help": "experiment config JSON"},
+}
+
+
+def _add_options(parser, names=tuple(_OPTIONS)):
+    """The shared options a subcommand reads, and no others."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def _load_inputs(args):
@@ -115,8 +121,7 @@ def cmd_evaluate(args):
     report = metrics.evaluate(metrics.PredictionMatrix(scores, truth))
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        binfile.write_text(args.out, text)
     print(text, end="")
 
 
@@ -128,11 +133,9 @@ def cmd_experiment(args):
         manifest, tax, out_root=out, seed=DEFAULT_SEED if args.seed is None else args.seed,
         grid=grid)
     table = experiment.report_table(rows)
-    with open(os.path.join(out, "rows.jsonl"), "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(os.path.join(out, "table.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
+    binfile.write_text(os.path.join(out, "rows.jsonl"),
+                       "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    binfile.write_text(os.path.join(out, "table.txt"), table)
     print(table, end="")
 
 
@@ -171,7 +174,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic multimodal dataset")
-    _add_common(p)
+    _add_options(p, ("seed", "out"))
     p.add_argument("--top-genres", type=int, default=3)
     p.add_argument("--subs-per-genre", type=int, default=4)
     p.add_argument("--albums", type=int, default=300)
@@ -179,41 +182,40 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("factorize", help="fit label factors on train+validation")
-    _add_common(p)
+    _add_options(p)
     p.add_argument("--d", type=int, help="label factor dims (default: the config's, else 50)")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("train", help="train one experiment row")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("extract", help="extract penultimate feature vectors")
-    _add_common(p)
+    _add_options(p)
     p.add_argument("--model", required=True, help="model checkpoint (.munn)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fuse", help="concatenate l2-normalized feature files")
-    _add_common(p)
+    _add_options(p, ("out",))
     p.add_argument("inputs", nargs="+", help="A=path.mufv T=path.mufv ...")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("evaluate", help="score a prediction matrix")
-    _add_common(p)
+    _add_options(p)
     p.add_argument("--predictions", required=True, help="predictions .mufv file")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run the full results grid")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("infogain", help="information gain of terms for a label")
-    _add_common(p)
+    _add_options(p, ("manifest", "taxonomy", "seed", "config"))
     p.add_argument("--label", required=True, help="label path, e.g. genre00/style01")
     p.add_argument("--top", type=int, default=20)
     p.set_defaults(func=cmd_infogain)
 
     p = sub.add_parser("report", help="format a rows.jsonl as a text table")
-    _add_common(p)
     p.add_argument("--rows", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -31,10 +31,6 @@ class UnknownPath(DataError):
     pass
 
 
-class AllLabelsPruned(DataError):
-    pass
-
-
 class EmptyMatrix(DataError):
     pass
 
@@ -76,10 +72,6 @@ class NonFiniteValue(DataError):
 
 
 class TrailingBytes(DataError):
-    pass
-
-
-class BadIndex(DataError):
     pass
 
 

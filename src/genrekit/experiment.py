@@ -15,7 +15,7 @@ import numpy as np
 
 from . import audiofeat, binfile, labelspace, metrics, textfeat, zoo
 from .errors import ConfigError, ConfigInvalid, DataError
-from .nn import save_model
+from .nn import make_optimizer, save_model
 from .pipeline import split
 
 AUDIO_SETTINGS = ("low-3x3", "high-3x3", "low-4x96", "high-4x96", "low-4x70", "high-4x70")
@@ -53,6 +53,9 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        for name in ("modality", "target", "settings", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigInvalid(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.modality not in _SETTINGS_BY_MODALITY:
             raise ConfigError(f"unknown modality {self.modality!r}")
         if self.target not in ("logistic", "cosine"):
@@ -64,6 +67,16 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 raise ConfigInvalid(f"{name} must be an integer >= {least}, got {value!r}")
+        files = self.feature_files
+        if not isinstance(files, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in files.items()):
+            raise ConfigInvalid(f"feature_files must map strings to paths, got {files!r}")
+        mods = self.fusion_modalities
+        if (not isinstance(mods, list) or not all(m in zoo.MODALITY_ORDER for m in mods)
+                or len(set(mods)) != len(mods)):
+            raise ConfigInvalid(f"fusion_modalities must be distinct letters from "
+                                f"{', '.join(zoo.MODALITY_ORDER)}, got {mods!r}")
+        make_optimizer(self.optimizer)
 
     @classmethod
     def from_dict(cls, data):
@@ -90,7 +103,6 @@ def read_json(path):
 
 @dataclass
 class LabelSetup:
-    assignment: object
     kept_labels: list  # taxonomy label ids, dense order
     truth: np.ndarray  # (m, n_kept) over all manifest items
     rows: list  # per item, kept-label ids
@@ -100,8 +112,8 @@ class LabelSetup:
 def prepare_labels(manifest, tax, seed, min_support=1):
     ids = manifest.ids()
     closed = [sorted(labelspace.close_labels(it.labels, tax)) for it in manifest.items]
-    assignment = split(ids, seed)
-    idx = {tag: [i for i, item_id in enumerate(ids) if assignment.tags[item_id] == tag]
+    tags = split(ids, seed).tags
+    idx = {tag: [i for i, item_id in enumerate(ids) if tags[item_id] == tag]
            for tag in ("train", "val", "test")}
     trainval = idx["train"] + idx["val"]
     support = np.zeros(tax.n_labels, dtype=np.int64)
@@ -118,7 +130,7 @@ def prepare_labels(manifest, tax, seed, min_support=1):
     truth = np.zeros((len(ids), len(kept)))
     for i, r in enumerate(rows):
         truth[i, r] = 1.0
-    return LabelSetup(assignment, kept, truth, rows, idx)
+    return LabelSetup(kept, truth, rows, idx)
 
 
 def fit_factors(setup, d):
@@ -288,7 +300,7 @@ def _shallow_stage(features, setup, factor_model, cfg, in_dropout=0.0, seed_offs
 def run_experiment(cfg, manifest, tax):
     """Execute one results row. Returns a dict with the evaluation report,
     the table row, the album-level feature matrix, and artifact paths."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    binfile.make_dirs(cfg.out_dir)
     setup = prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
     factor_model = fit_factors(setup, cfg.d) if cfg.target == "cosine" else None
     n_out = (len(setup.kept_labels) if cfg.target == "logistic"
@@ -364,11 +376,9 @@ def run_experiment(cfg, manifest, tax):
     test_ids = [manifest.ids()[i] for i in setup.idx["test"]]
     zoo.save_feature_vectors(pred.scores, test_ids, paths["predictions"])
     paths["report"] = os.path.join(cfg.out_dir, "report.json")
-    with open(paths["report"], "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    binfile.write_text(paths["report"], report.to_json())
     paths["row"] = os.path.join(cfg.out_dir, "row.json")
-    with open(paths["row"], "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
+    binfile.write_text(paths["row"], json.dumps(row, sort_keys=True) + "\n")
     for name, history in histories.items():
         p = os.path.join(cfg.out_dir, f"history_{name}.jsonl")
         zoo.save_history(history, p)
@@ -380,12 +390,10 @@ def run_experiment(cfg, manifest, tax):
 
 # ------------------------------------------------------------------ the grid
 
-def default_grid(seed=42, out_root="runs", fast=True):
+def default_grid(seed=42, out_root="runs"):
     """Desk-scale mirror of the results grid on synthetic data."""
     audio_common = {"patch_width": 96, "batch_size": 16, "epochs": 10, "patience": 3,
                     "optimizer": {"kind": "adam", "lr": 1e-3}}
-    if not fast:
-        audio_common = {"batch_size": 32, "epochs": 30, "patience": 5}
     rows = [
         {"modality": "timbre", "target": "logistic", "settings": "timbre-mlp",
          "epochs": 300, "patience": 30, "optimizer": {"kind": "adam", "lr": 1e-2}},
@@ -405,12 +413,12 @@ def default_grid(seed=42, out_root="runs", fast=True):
     return rows
 
 
-def run_grid(manifest, tax, out_root="runs", seed=42, grid=None, fusion_targets=("logistic", "cosine")):
+def run_grid(manifest, tax, out_root="runs", seed=42, grid=None):
     """Run single-modality rows, then late-fusion rows on the best
     (by AUC) feature vectors of each modality."""
     grid = grid if grid is not None else default_grid(seed, out_root)
-    if not isinstance(grid, list):
-        raise ConfigInvalid(f"a grid must be a list of row configs, got {grid!r}")
+    if not isinstance(grid, list) or not grid:
+        raise ConfigInvalid(f"a grid must be a non-empty list of row configs, got {grid!r}")
     rows = []
     results = []
     best = {}  # modality letter -> (auc, features path)
@@ -424,7 +432,7 @@ def run_grid(manifest, tax, out_root="runs", seed=42, grid=None, fusion_targets=
         if mod and (mod not in best or result["row"]["auc"] > best[mod][0]):
             best[mod] = (result["row"]["auc"], result["paths"]["features"])
     if all(m in best for m in ("A", "T", "I")):
-        for target in fusion_targets:
+        for target in ("logistic", "cosine"):
             cfg = ExperimentConfig(
                 modality="fusion", target=target, settings="mlp",
                 feature_files={m: best[m][1] for m in ("A", "T", "I")},

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import binfile
 from .errors import (
-    AllLabelsPruned,
     DepthExceeded,
     DimensionTooLarge,
     EmptyMatrix,
@@ -54,9 +53,6 @@ class LabelTaxonomy:
             node = self.nodes[node.parent]
         return out
 
-    def paths(self):
-        return [n.path for n in self.nodes]
-
 
 def _split_path(path):
     segments = [s.strip() for s in path.split("/")]
@@ -94,9 +90,7 @@ def load_taxonomy(path):
 def save_taxonomy(tax, path):
     """Write one branch path per line (leaf paths suffice, prefixes are implied,
     but we write every node path so the file round-trips exactly)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for node in tax.nodes:
-            fh.write(node.path + "\n")
+    binfile.write_text(path, "".join(node.path + "\n" for node in tax.nodes))
 
 
 def close_labels(item_paths, tax):
@@ -140,30 +134,6 @@ class ItemLabelMatrix:
         for r in self.rows:
             s[list(r)] += 1
         return s
-
-
-def prune_rare_labels(matrix, min_support):
-    """Drop labels with support < min_support, then items left without labels.
-
-    Returns (pruned matrix, kept_label_ids, kept_item_ids); label ids in the
-    new matrix are dense, kept_label_ids[j_new] = j_old.
-    """
-    if min_support < 1:
-        raise ValueError("min_support must be >= 1")
-    support = matrix.supports()
-    kept_labels = [j for j in range(matrix.n_labels) if support[j] >= min_support]
-    if not kept_labels:
-        raise AllLabelsPruned(f"no label has support >= {min_support}")
-    remap = {old: new for new, old in enumerate(kept_labels)}
-    new_rows = []
-    kept_items = []
-    for i, r in enumerate(matrix.rows):
-        nr = tuple(sorted(remap[j] for j in r if j in remap))
-        if nr:
-            new_rows.append(nr)
-            kept_items.append(i)
-    pruned = ItemLabelMatrix(len(new_rows), len(kept_labels), new_rows)
-    return pruned, kept_labels, kept_items
 
 
 @dataclass

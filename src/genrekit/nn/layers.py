@@ -20,6 +20,15 @@ def _xavier_uniform(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _stable_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class Layer:
     """Stateless unless it owns parameters; caches what backward needs.
 
@@ -34,7 +43,7 @@ class Layer:
     def spec(self):
         raise NotImplementedError
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
+    def forward(self, x, train=False, rng=None):
         raise NotImplementedError
 
     def backward(self, dout):
@@ -58,7 +67,7 @@ class Dense(Layer):
     def spec(self):
         return {"kind": "dense", "out": self.w.shape[1]}
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
+    def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeMismatch(f"dense expects (B, {self.w.shape[0]}), got {x.shape}")
         self._x = x
@@ -86,7 +95,7 @@ class Conv2d(Layer):
         f, _, kh, kw = self.w.shape
         return {"kind": "conv2d", "filters": f, "kh": kh, "kw": kw}
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
+    def forward(self, x, train=False, rng=None):
         if x.ndim != 4 or x.shape[1] != self.w.shape[1]:
             raise ShapeMismatch(f"conv2d expects (B, {self.w.shape[1]}, H, W), got {x.shape}")
         self._x = np.ascontiguousarray(x)
@@ -109,7 +118,7 @@ class MaxPool(Layer):
     def spec(self):
         return {"kind": "maxpool", "ph": self.ph, "pw": self.pw}
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
+    def forward(self, x, train=False, rng=None):
         self._shape = x.shape
         # only a train-mode forward is followed by a backward
         out, self._arg = kernels.maxpool_forward(x, self.ph, self.pw, need_arg=train)
@@ -125,7 +134,7 @@ class ReLU(Layer):
     def spec(self):
         return {"kind": "relu"}
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
+    def forward(self, x, train=False, rng=None):
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
@@ -137,14 +146,9 @@ class Sigmoid(Layer):
     def spec(self):
         return {"kind": "sigmoid"}
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
-        self._y = y
-        return y
+    def forward(self, x, train=False, rng=None):
+        self._y = _stable_sigmoid(x)
+        return self._y
 
     def backward(self, dout):
         return dout * self._y * (1.0 - self._y)
@@ -162,14 +166,13 @@ class Dropout(Layer):
     def spec(self):
         return {"kind": "dropout", "rate": self.rate}
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
+    def forward(self, x, train=False, rng=None):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        if not freeze_dropout or self._mask is None or self._mask.shape != x.shape:
-            if rng is None:
-                raise ConfigInvalid("train-mode dropout needs an rng")
-            self._mask = rng.random(x.shape) >= self.rate
+        if rng is None:
+            raise ConfigInvalid("train-mode dropout needs an rng")
+        self._mask = rng.random(x.shape) >= self.rate
         return x * self._mask / (1.0 - self.rate)
 
     def backward(self, dout):
@@ -182,7 +185,7 @@ class Flatten(Layer):
     def spec(self):
         return {"kind": "flatten"}
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
+    def forward(self, x, train=False, rng=None):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 

@@ -9,19 +9,10 @@ import numpy as np
 
 from .. import binfile
 from ..errors import ConfigInvalid, ShapeMismatch
-from .layers import Conv2d, Dense, Dropout, Flatten, MaxPool, ReLU, Sigmoid
+from .layers import Conv2d, Dense, Dropout, Flatten, MaxPool, ReLU, Sigmoid, _stable_sigmoid
 
 BCE_CLAMP = 1e-7
 COSINE_EPS = 1e-12
-
-
-def _stable_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def loss_logistic(probs, targets):
@@ -158,14 +149,14 @@ class ModelGraph:
 
     # ------------------------------------------------------------ execution
 
-    def forward(self, x, train=False, rng=None, freeze_dropout=False):
+    def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ShapeMismatch(f"expected batch of {self.input_shape}, got {x.shape}")
         for layer in self.layers:
-            x = layer.forward(x, train=train, rng=rng, freeze_dropout=freeze_dropout)
+            x = layer.forward(x, train=train, rng=rng)
         self._features = x
-        z = self.head_dense.forward(x, train=train, rng=rng, freeze_dropout=freeze_dropout)
+        z = self.head_dense.forward(x, train=train, rng=rng)
         if self.head["kind"] == "logistic":
             self._out = _stable_sigmoid(z)
         else:
@@ -240,16 +231,16 @@ def grad_check(model, x, targets, step=1e-4, tolerance=1e-4,
     """Central finite differences against analytic gradients.
 
     Relative error per coordinate: |a - n| / max(1e-8, |a| + |n|).
-    Dropout masks are frozen by a first seeded forward pass.
+    Every forward pass gets a fresh generator seeded with `seed`, so every
+    pass draws the same dropout masks.
     """
-    rng = np.random.default_rng(seed)
-    model.forward(x, train=True, rng=rng)
-    loss, dz = model.loss_grad(targets)
+    model.forward(x, train=True, rng=np.random.default_rng(seed))
+    _, dz = model.loss_grad(targets)
     model.backward(dz)
     analytic = [g.copy() for g in model.grads()]
 
     def frozen_loss():
-        out = model.forward(x, train=True, rng=None, freeze_dropout=True)
+        out = model.forward(x, train=True, rng=np.random.default_rng(seed))
         return model.loss(out, targets)
 
     coord_rng = np.random.default_rng(seed + 1)

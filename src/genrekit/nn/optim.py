@@ -7,9 +7,12 @@ floating-point operations, in the same order, as the whole-array formulas
 in the docstrings, so results are bit-identical to them.
 """
 
+import inspect
+import sys
+
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import ConfigInvalid, ShapeMismatch
 
 # 2^14 float64 = 128 KiB per array: the six slices a chunk touches stay in L2
 CHUNK = 1 << 14
@@ -102,11 +105,24 @@ class Adam:
 
 
 def make_optimizer(config):
-    """config: {"kind": "sgd"|"adam", ...hyperparameters}."""
-    cfg = dict(config)
-    kind = cfg.pop("kind", "adam")
-    if kind == "sgd":
-        return SGD(**cfg)
-    if kind == "adam":
-        return Adam(**cfg)
-    raise ValueError(f"unknown optimizer {kind!r}")
+    """config: {"kind": "sgd"|"adam", ...hyperparameters}.  ConfigInvalid for
+    an unknown kind or name, a value that is not a finite real number, or
+    an lr <= 0."""
+    if not isinstance(config, dict):
+        raise ConfigInvalid(f"optimizer must be an object, got {config!r}")
+    hyper = dict(config)
+    kind = hyper.pop("kind", "adam")
+    if kind not in ("sgd", "adam"):
+        raise ConfigInvalid(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
+    cls = SGD if kind == "sgd" else Adam
+    unknown = set(hyper) - set(inspect.signature(cls).parameters)
+    if unknown:
+        raise ConfigInvalid(f"optimizer {kind!r} has no hyperparameters {sorted(unknown)}")
+    for name, value in hyper.items():
+        # comparing keeps an int too large for a float from overflowing
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ConfigInvalid(f"optimizer {name} must be a finite number, got {value!r}")
+    if hyper.get("lr", 1.0) <= 0:
+        raise ConfigInvalid(f"optimizer lr must be > 0, got {hyper['lr']!r}")
+    return cls(**hyper)

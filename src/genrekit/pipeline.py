@@ -98,20 +98,13 @@ def load_manifest(path):
 
 
 def save_manifest(manifest, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for it in manifest.items:
-            rec = {"id": it.id, "labels": it.labels}
-            if it.tracks:
-                rec["tracks"] = it.tracks
-            if it.reviews:
-                rec["reviews"] = it.reviews
-            if it.enrichment:
-                rec["enrichment"] = it.enrichment
-            if it.image_vec:
-                rec["image_vec"] = it.image_vec
-            if it.timbre:
-                rec["timbre"] = it.timbre
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """One JSON object per item; empty optional fields are left out."""
+    optional = _ITEM_FIELDS - {"id", "labels"}
+    binfile.write_text(path, "".join(
+        json.dumps({"id": it.id, "labels": it.labels,
+                    **{k: getattr(it, k) for k in optional if getattr(it, k)}},
+                   sort_keys=True) + "\n"
+        for it in manifest.items))
 
 
 # -------------------------------------------------------------------- splits
@@ -183,12 +176,8 @@ def synth_dataset(spec, out_dir):
     if min(spec.n_top_genres, spec.subs_per_genre, spec.albums, spec.tracks_per_album) < 1:
         raise IoError("all synth counts must be >= 1")
     rng = np.random.default_rng(spec.seed)
-    os.makedirs(out_dir, exist_ok=True)
-    audio_dir = os.path.join(out_dir, "audio")
-    timbre_dir = os.path.join(out_dir, "timbre")
-    image_dir = os.path.join(out_dir, "image")
-    for d in (audio_dir, timbre_dir, image_dir):
-        os.makedirs(d, exist_ok=True)
+    for sub in ("audio", "timbre", "image"):
+        binfile.make_dirs(os.path.join(out_dir, sub))
 
     tops = [f"genre{g:02d}" for g in range(spec.n_top_genres)]
     subs = {t: [f"{t}/style{k:02d}" for k in range(spec.subs_per_genre)] for t in tops}
@@ -202,8 +191,6 @@ def synth_dataset(spec, out_dir):
     image_centroids = {p: rng.normal(0, 1, size=spec.image_dim) for p in all_paths}
     keywords = {p: [f"{p.replace('/', '_')}_kw{i}" for i in range(3)] for p in all_paths}
     noise_words = [f"noise{i:03d}" for i in range(100)]
-
-    from .pipeline import ManifestItem  # self-import keeps dataclass local
 
     items = []
     for a in range(spec.albums):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from . import binfile
-from .errors import BadIndex, DegenerateLabel, EmptyCorpus
+from .errors import DegenerateLabel, EmptyCorpus
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -142,36 +141,3 @@ def term_information_gain(doc_term_sets, label_column):
         out[t] = h_y - (nw / n) * h_with - (nwo / n) * h_without
     return out
 
-
-# ------------------------------------------------------------- serialization
-
-SPARSE_MAGIC = b"MUSP"
-SPARSE_ENTRY = np.dtype([("j", "<u4"), ("v", "<f8")])  # packed, 12 bytes
-
-
-def save_tfidf(tfidf_matrix, path):
-    """Rows, vocabulary size, then per row its entry count and entries."""
-    mat = tfidf_matrix.matrix.tocsr()
-    entries = np.empty(mat.nnz, SPARSE_ENTRY)
-    entries["j"], entries["v"] = mat.indices, mat.data
-    parts = [binfile.fields(*mat.shape)]
-    for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:]):
-        parts += [binfile.fields(hi - lo), entries[lo:hi]]
-    binfile.write(path, SPARSE_MAGIC, *parts)
-
-
-def load_tfidf(path):
-    with binfile.reader(path, SPARSE_MAGIC) as frame:
-        m, v = frame.fields(2)
-        rows = [frame.array(SPARSE_ENTRY, frame.fields(1)) for _ in range(m)]
-    entries = np.concatenate([np.empty(0, SPARSE_ENTRY), *rows])
-    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
-    indices = entries["j"].astype(np.int64)
-    if indices.size and indices.max() >= v:
-        raise BadIndex(f"{path}: term index {indices.max()} >= vocabulary size {v}")
-    keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr)) * v + indices
-    if np.unique(keys).size != keys.size:
-        raise BadIndex(f"{path}: a row repeats a term index")
-    mat = sparse.csr_matrix((np.ascontiguousarray(entries["v"]), indices, indptr),
-                            shape=(m, v))
-    return TfIdfMatrix(mat, np.flatnonzero(np.diff(indptr) == 0).tolist())

@@ -203,9 +203,7 @@ def train(model, x_train, y_train, x_val=None, y_val=None, config=None):
 
 
 def save_history(history, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in history:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    binfile.write_text(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in history))
 
 
 def extract_features(model, x, batch_size=64):
@@ -296,8 +294,7 @@ def save_feature_vectors(matrix, item_ids, path):
                 or "\n" in item_id or "\r" in item_id):
             raise DataError(f"item id {item_id!r} cannot be stored in an .ids sidecar")
     binfile.write(path, FEATURE_MAGIC, binfile.fields(m, dim), matrix)
-    with open(str(path) + ".ids", "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{item_id}\n" for item_id in item_ids))
+    binfile.write_text(str(path) + ".ids", "".join(f"{item_id}\n" for item_id in item_ids))
 
 
 def load_feature_vectors(path):

@@ -12,7 +12,6 @@ from genrekit.audiofeat import (
     save_timbre,
     standardize,
     timbre_stats,
-    unstandardize,
 )
 from genrekit.errors import (
     BadMagic,
@@ -84,14 +83,6 @@ def test_standardize_constant_bin_hits_floor():
     z = standardize(patches, stats)
     assert np.isfinite(z).all()
     np.testing.assert_array_equal(z, 0.0)  # (x - mean) is 0, floor just guards
-
-
-def test_unstandardize_inverts():
-    rng = np.random.default_rng(5)
-    patches = rng.normal(size=(6, 4, 7))
-    stats = fit_bin_stats(patches)
-    np.testing.assert_allclose(unstandardize(standardize(patches, stats), stats),
-                               patches, atol=1e-10)
 
 
 def test_standardize_dimension_mismatch():

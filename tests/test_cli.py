@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from genrekit.cli import main
-from genrekit.experiment import ExperimentConfig, run_experiment
+from genrekit.experiment import ExperimentConfig, prepare_labels, run_experiment
 from genrekit.labelspace import load_taxonomy
 from genrekit.pipeline import SynthSpec, load_manifest, save_manifest, synth_dataset
 from genrekit.zoo import save_feature_vectors
@@ -138,9 +138,11 @@ ROW = {"modality": "text", "target": "logistic", "settings": "vsm", "params": 1,
     ("missing-rows", 3), ("missing-predictions", 3),
     ("train-config-not-json", 2), ("experiment-config-not-json", 2),
     ("infogain-config-not-json", 2), ("train-config-not-object", 2),
-    ("experiment-config-not-list", 2),
+    ("experiment-config-not-list", 2), ("experiment-config-empty-list", 2),
     ("evaluate-unknown-ids", 3), ("report-rows-not-json", 3),
     ("report-row-lacks-column", 3), ("report-no-rows", 3), ("train-config-epochs-str", 2),
+    ("train-config-bad-optimizer", 2), ("evaluate-out-missing-dir", 3),
+    ("train-out-under-file", 3), ("synth-out-under-file", 3),
 ])
 def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
     missing = str(tmp_path / "absent")
@@ -149,6 +151,12 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
     rows = tmp_path / "rows.jsonl"
     preds = tmp_path / "p.mufv"
     save_feature_vectors(np.zeros((2, 3)), ["nope1", "nope2"], preds)
+    manifest, tax = load_manifest(tiny_ds[1]), load_taxonomy(tiny_ds[3])
+    n_labels = len(prepare_labels(manifest, tax, ExperimentConfig().seed).kept_labels)
+    good_preds = tmp_path / "good.mufv"
+    save_feature_vectors(np.random.default_rng(0).random((len(manifest), n_labels)),
+                         manifest.ids(), good_preds)
+    a_file = _write(tmp_path / "file", "")
     argv = {
         "missing-manifest": ["train", "--manifest", missing, *tiny_ds[2:]],
         "missing-taxonomy": ["train", *tiny_ds[:2], "--taxonomy", missing],
@@ -164,6 +172,9 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
         "experiment-config-not-list": ["experiment", *tiny_ds, "--config",
                                        _write(tmp_path / "obj.json", "{}"),
                                        "--out", str(tmp_path / "runs")],
+        "experiment-config-empty-list": ["experiment", *tiny_ds, "--config",
+                                         _write(tmp_path / "empty.json", "[]"),
+                                         "--out", str(tmp_path / "runs")],
         "evaluate-unknown-ids": ["evaluate", *tiny_ds, "--predictions", str(preds)],
         "report-rows-not-json": ["report", "--rows", _write(rows, "{broken\n")],
         "report-row-lacks-column": [
@@ -173,9 +184,34 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
         "train-config-epochs-str": ["train", *tiny_ds, "--config", _write(
             tmp_path / "epochs.json",
             '{"modality": "timbre", "settings": "timbre-mlp", "epochs": "3"}')],
+        "train-config-bad-optimizer": ["train", *tiny_ds, "--config", _write(
+            tmp_path / "optimizer.json",
+            '{"modality": "timbre", "settings": "timbre-mlp", "optimizer": {"kind": "rmsprop"}}')],
+        "evaluate-out-missing-dir": ["evaluate", *tiny_ds, "--predictions", str(good_preds),
+                                     "--out", str(tmp_path / "absent" / "r.json")],
+        "train-out-under-file": ["train", *tiny_ds, "--out", f"{a_file}/run"],
+        "synth-out-under-file": ["synth", "--albums", "10", "--out", f"{a_file}/ds"],
     }[case]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["report-config", "fuse-seed", "synth-manifest"])
+def test_option_a_subcommand_does_not_read_is_refused(tmp_path, capsys, case):
+    """An option the subcommand would ignore is an argparse error (exit 2)."""
+    rows = _write(tmp_path / "rows.jsonl", json.dumps(ROW) + "\n")
+    vectors = tmp_path / "a.mufv"
+    save_feature_vectors(np.ones((2, 3)), ["x1", "x2"], vectors)
+    argv = {
+        "report-config": ["report", "--rows", rows, "--config", "x"],
+        "fuse-seed": ["fuse", f"A={vectors}", "--out", str(tmp_path / "f.mufv"),
+                      "--seed", "1"],
+        "synth-manifest": ["synth", "--albums", "10", "--out", str(tmp_path / "ds"),
+                           "--manifest", "m"],
+    }[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("row,checkpoint", [

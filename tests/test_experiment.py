@@ -59,6 +59,24 @@ def test_config_from_json(tmp_path):
     ("epochs", "3"), ("batch_size", "x"), ("patience", 2.0), ("d", True), ("seed", None),
     ("min_label_support", [1]), ("patch_width", 0), ("vocab_size", -5),
     ("truncate_chars", 0), ("epochs", 0), ("seed", -1), ("seed", False),
+    pytest.param("optimizer", {"kind": "rmsprop"}, id="optimizer-unknown-kind"),
+    pytest.param("optimizer", {"kind": ["adam"]}, id="optimizer-kind-list"),
+    pytest.param("optimizer", {"kind": "adam", "momentum": 0.9}, id="optimizer-unknown-name"),
+    pytest.param("optimizer", {"kind": "adam", "lr": "x"}, id="optimizer-lr-str"),
+    pytest.param("optimizer", {"kind": "sgd", "lr": True}, id="optimizer-lr-bool"),
+    pytest.param("optimizer", {"kind": "adam", "eps": float("nan")}, id="optimizer-eps-nan"),
+    pytest.param("optimizer", {"kind": "adam", "lr": 10 ** 400}, id="optimizer-lr-huge"),
+    pytest.param("optimizer", {"kind": "adam", "lr": 0}, id="optimizer-lr-zero"),
+    pytest.param("optimizer", "adam", id="optimizer-str"),
+    pytest.param("modality", ["image"], id="modality-list"),
+    pytest.param("target", None, id="target-none"),
+    pytest.param("settings", 1, id="settings-int"),
+    pytest.param("out_dir", 5, id="out_dir-int"),
+    pytest.param("feature_files", "x", id="feature_files-str"),
+    pytest.param("feature_files", {"A": 5}, id="feature_files-int-path"),
+    pytest.param("fusion_modalities", ["I", "X"], id="fusion_modalities-unknown"),
+    pytest.param("fusion_modalities", ["A", "A"], id="fusion_modalities-repeated"),
+    pytest.param("fusion_modalities", "ATI", id="fusion_modalities-str"),
 ])
 def test_config_rejects_bad_integer_fields(field, value):
     with pytest.raises(ConfigInvalid, match=field):

@@ -1,7 +1,6 @@
-"""All six binary artifact formats: pinned bytes and hostile-input behaviour."""
+"""All five binary artifact formats: pinned bytes and hostile-input behaviour."""
 
 import hashlib
-import struct
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from genrekit.audiofeat import (
     save_timbre,
 )
 from genrekit.errors import (
-    BadIndex,
     GenrekitError,
     IoError,
     NonFiniteValue,
@@ -24,13 +22,7 @@ from genrekit.errors import (
 )
 from genrekit.labelspace import FactorModel, load_factor_model, save_factor_model
 from genrekit.nn import ModelGraph, load_model, save_model
-from genrekit.textfeat import build_vocabulary, load_tfidf, save_tfidf, tfidf
 from genrekit.zoo import load_feature_vectors, save_feature_vectors
-
-
-def _tfidf():
-    corpus = [["aa", "bb"], [], ["cc", "aa", "aa"], ["bb"]]
-    return tfidf(corpus, build_vocabulary([c for c in corpus if c], max_size=10))
 
 
 def _model():
@@ -40,10 +32,6 @@ def _model():
     return ModelGraph((1, 4, 5), specs, {"kind": "cosine", "dim": 2}, seed=3)
 
 
-def _csr_arrays(m):
-    return [m.matrix.indptr, m.matrix.indices, m.matrix.data]
-
-
 # name -> (save(obj, path), load(path) -> arrays to compare, fixed input)
 FORMATS = {
     "MUCQ": (lambda v, p: save_spectrogram(Spectrogram(v), p),
@@ -51,7 +39,6 @@ FORMATS = {
              np.arange(12.0).reshape(3, 4) / 8 - 0.5),
     "MUTB": (save_timbre, lambda p: [load_timbre(p)],
              np.linspace(-1.0, 1.0, 36).reshape(12, 3)),
-    "MUSP": (save_tfidf, lambda p: _csr_arrays(load_tfidf(p)), _tfidf()),
     "MUFV": (lambda v, p: save_feature_vectors(v, ["x1", "x2"], p),
              lambda p: [load_feature_vectors(p)[0]],
              np.arange(6.0).reshape(2, 3) * 0.25),
@@ -66,7 +53,6 @@ FORMATS = {
 GOLDEN = {
     "MUCQ": "9869fb417b356e9e3bcd88fc0137a4ef07e8ad797fcf23096cf73de698e8f338",
     "MUTB": "4292e453f6355733835a248e707bacd915ece51631ae51f3c51f8d2de3b2c25d",
-    "MUSP": "3dd180c5aad4b08c7ef61d6d2990b6870b48658d71a03f45e13d508e413841c8",
     "MUFV": "00f6e68c1e04b6c93f3f23fc8cd31e206fbfd36598a8f5eb88eade9a8bac1269",
     "MUFV.ids": "bcd36a814884aa63ca5e0d9fda82814069d2dc2daf6ba12b7c8e129ff02f169a",
     "MUF1": "0d41356686f0882f87beaea09ca1718f27f2ca89f704b751de923da5f9c4fffe",
@@ -151,33 +137,6 @@ def test_trailing_byte_is_rejected(tmp_path, fmt):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(TrailingBytes):
         load(path)
-
-
-def _musp(entries, m=1, v=3):
-    """One MUSP row holding `entries`, (index, value) pairs."""
-    body = struct.pack("<I", len(entries)) + b"".join(
-        struct.pack("<Id", j, x) for j, x in entries)
-    return b"MUSP" + struct.pack("<II", m, v) + body
-
-
-@pytest.mark.parametrize("entries,error", [
-    pytest.param([(99, 1.0)], BadIndex, id="index-past-vocabulary"),
-    pytest.param([(3, 1.0)], BadIndex, id="index-equals-vocabulary"),
-    pytest.param([(1, 0.5), (1, 0.5)], BadIndex, id="duplicate-index"),
-    pytest.param([(0, float("nan"))], NonFiniteValue, id="nan"),
-    pytest.param([(0, float("inf"))], NonFiniteValue, id="inf"),
-])
-def test_tfidf_rejects_bad_entries(tmp_path, entries, error):
-    path = tmp_path / "t.musp"
-    path.write_bytes(_musp(entries))
-    with pytest.raises(error):
-        load_tfidf(path)
-
-
-def test_tfidf_accepts_last_index(tmp_path):
-    path = tmp_path / "t.musp"
-    path.write_bytes(_musp([(2, 0.5), (0, 1.0)]))
-    np.testing.assert_array_equal(load_tfidf(path).matrix.toarray(), [[1.0, 0.0, 0.5]])
 
 
 @pytest.mark.parametrize("fmt", ["MUTB", "MUFV", "MUF1", "MUNN"])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genrekit.errors import (
-    AllLabelsPruned,
     DepthExceeded,
     DimensionTooLarge,
     EmptyPath,
@@ -21,7 +20,6 @@ from genrekit.labelspace import (
     label_scores_from_factor,
     load_factor_model,
     parse_taxonomy,
-    prune_rare_labels,
     save_factor_model,
 )
 
@@ -101,31 +99,6 @@ def test_closure_idempotent(tax_and_paths):
     closed = close_labels(paths, tax)
     reclosed = close_labels([tax.nodes[i].path for i in closed], tax)
     assert closed == reclosed
-
-
-# ------------------------------------------------------------------ pruning
-
-def test_prune_identity_at_support_one():
-    m = ItemLabelMatrix.from_rows([[0, 1], [1, 2]], 3)
-    pruned, kept_labels, kept_items = prune_rare_labels(m, 1)
-    assert pruned.rows == m.rows
-    assert kept_labels == [0, 1, 2]
-    assert kept_items == [0, 1]
-
-
-def test_prune_drops_low_support_label():
-    # labels 2 and 4 have support 2 of 5; threshold 3 removes both
-    rows = [[0, 4], [1, 4], [0, 1], [0, 2], [1, 2]]
-    m = ItemLabelMatrix.from_rows(rows, 5)
-    pruned, kept_labels, _ = prune_rare_labels(m, 3)
-    assert kept_labels == [0, 1]
-    assert pruned.n_labels == 2
-
-
-def test_prune_all_raises():
-    m = ItemLabelMatrix.from_rows([[0]], 1)
-    with pytest.raises(AllLabelsPruned):
-        prune_rare_labels(m, 5)
 
 
 # --------------------------------------------------------------------- ppmi

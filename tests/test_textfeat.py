@@ -6,8 +6,6 @@ from genrekit.textfeat import (
     aggregate_and_truncate,
     append_enrichment,
     build_vocabulary,
-    load_tfidf,
-    save_tfidf,
     term_information_gain,
     tfidf,
     tokenize,
@@ -162,36 +160,3 @@ def test_information_gain_nonnegative():
     y[0], y[1] = 0, 1
     ig = term_information_gain(docs, y)
     assert all(v >= -1e-12 for v in ig.values())
-
-
-# ------------------------------------------------------------- serialization
-
-def test_tfidf_roundtrip(tmp_path):
-    corpus = [["aa", "bb"], [], ["cc", "aa", "aa"]]
-    vocab = build_vocabulary([c for c in corpus if c], max_size=10)
-    original = tfidf(corpus, vocab)
-    path = tmp_path / "t.musp"
-    save_tfidf(original, path)
-    loaded = load_tfidf(path)
-    np.testing.assert_array_equal(loaded.matrix.toarray(), original.matrix.toarray())
-    assert loaded.zero_rows == original.zero_rows
-
-
-def test_tfidf_load_bad_magic(tmp_path):
-    from genrekit.errors import BadMagic
-    path = tmp_path / "bad.musp"
-    path.write_bytes(b"NOPE" + b"\x00" * 8)
-    with pytest.raises(BadMagic):
-        load_tfidf(path)
-
-
-def test_tfidf_load_truncated(tmp_path):
-    from genrekit.errors import TruncatedFile
-    corpus = [["aa", "bb", "cc"]]
-    vocab = build_vocabulary(corpus, max_size=10)
-    path = tmp_path / "t.musp"
-    save_tfidf(tfidf(corpus, vocab), path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-5])
-    with pytest.raises(TruncatedFile):
-        load_tfidf(path)
