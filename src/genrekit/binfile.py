@@ -51,12 +51,13 @@ def fields(*values):
 
 
 def write(path, magic, *parts):
-    """`magic`, then each part: bytes as given, arrays in their own dtype."""
+    """`magic`, then each part: bytes as given, arrays in their own dtype
+    and C order, written from their buffer (a copy only if not contiguous)."""
     try:
         with open(path, "wb") as fh:
             fh.write(magic)
             for part in parts:
-                fh.write(part if isinstance(part, bytes) else part.tobytes())
+                fh.write(part if isinstance(part, bytes) else np.ascontiguousarray(part).data)
     except OSError as exc:
         raise IoError(f"{path}: cannot write: {exc}") from exc
 

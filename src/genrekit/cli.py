@@ -94,6 +94,11 @@ def cmd_fuse(args):
         if "=" not in spec:
             raise ConfigError("fuse inputs look like A=path.mufv")
         mod, path = spec.split("=", 1)
+        if mod not in zoo.MODALITY_ORDER:
+            raise ConfigError(f"unknown modality {mod!r} in {spec!r}; "
+                              f"use {', '.join(zoo.MODALITY_ORDER)}")
+        if mod in vectors:
+            raise ConfigError(f"modality {mod!r} given more than once")
         mat, file_ids = zoo.load_feature_vectors(path)
         if ids is None:
             ids = file_ids
@@ -140,6 +145,8 @@ def cmd_experiment(args):
 
 
 def cmd_infogain(args):
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     manifest, tax = _load_inputs(args)
     cfg = _config(args, seed=args.seed)
     corpus = experiment.text_corpus(manifest, cfg)

@@ -167,7 +167,7 @@ def text_features(manifest, cfg, trainval_positions):
     corpus = text_corpus(manifest, cfg)
     vocab = textfeat.build_vocabulary(
         [corpus[i] for i in trainval_positions], cfg.vocab_size)
-    return textfeat.tfidf(corpus, vocab).matrix.toarray(), vocab
+    return textfeat.tfidf(corpus, vocab).matrix, vocab
 
 
 def timbre_features(manifest):

@@ -1,16 +1,15 @@
 """Multi-label ranking metrics: label-averaged AUC-ROC and Coverage@k.
 
-AUC uses the Mann-Whitney rank formulation with midranks for ties; labels
-without both positives and negatives in the test set are skipped and
-counted.  Coverage@k is the fraction of the full label vocabulary present
-in the union of all test items' top-k predictions.
+AUC uses the Mann-Whitney rank formulation with midranks for ties, computed
+in numpy (``midranks``); labels without both positives and negatives in the
+test set are skipped and counted.  Coverage@k is the fraction of the full
+label vocabulary present in the union of all test items' top-k predictions.
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import AllLabelsSkipped, KOutOfRange, ShapeMismatch
 from .labelspace import label_scores_from_factor
@@ -32,6 +31,21 @@ class PredictionMatrix:
             raise ShapeMismatch("non-finite prediction scores")
 
 
+def midranks(values):
+    """1-based ranks of `values`, each tie group given the mean of its
+    positions.  A tie group's mean is an exact half-integer, so these equal
+    ``scipy.stats.rankdata(values)`` bit for bit."""
+    values = np.asarray(values).ravel()
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # start and end (exclusive) of each tie group in sorted order
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_per_label(scores, truth):
     """AUC of one label column, or None when undefined (all-pos / all-neg)."""
     truth = np.asarray(truth).astype(bool)
@@ -40,7 +54,7 @@ def auc_per_label(scores, truth):
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)  # midranks
+    ranks = midranks(scores)
     pos_rank_sum = ranks[truth].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

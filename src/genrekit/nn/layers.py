@@ -74,7 +74,11 @@ class Dense(Layer):
         return x @ self.w + self.b
 
     def backward(self, dout):
-        self.dw = self._x.T @ dout
+        """``dw`` is written into one buffer kept for the layer's lifetime:
+        a later backward overwrites the gradients of an earlier one."""
+        if self.dw is None:
+            self.dw = np.empty_like(self.w)
+        np.matmul(self._x.T, dout, out=self.dw)
         self.db = dout.sum(axis=0)
         return dout @ self.w.T if self.need_dx else None
 

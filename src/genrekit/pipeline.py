@@ -10,7 +10,7 @@ import numpy as np
 
 from . import binfile
 from .audiofeat import Spectrogram, save_spectrogram, save_timbre
-from .errors import DanglingPath, DuplicateId, IoError, ParseError, TooFewItems
+from .errors import ConfigInvalid, DanglingPath, DuplicateId, ParseError, TooFewItems
 from .labelspace import parse_taxonomy, save_taxonomy
 from .zoo import save_feature_vectors
 
@@ -174,7 +174,9 @@ def synth_dataset(spec, out_dir):
     across runs for a fixed spec.
     """
     if min(spec.n_top_genres, spec.subs_per_genre, spec.albums, spec.tracks_per_album) < 1:
-        raise IoError("all synth counts must be >= 1")
+        raise ConfigInvalid("all synth counts must be >= 1")
+    if not isinstance(spec.seed, (int, np.integer)) or spec.seed < 0:
+        raise ConfigInvalid(f"synth seed must be an integer >= 0, got {spec.seed!r}")
     rng = np.random.default_rng(spec.seed)
     for sub in ("audio", "timbre", "image"):
         binfile.make_dirs(os.path.join(out_dir, sub))

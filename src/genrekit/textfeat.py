@@ -3,15 +3,14 @@
 Per-item review texts are joined and truncated, tokenized into lowercase
 alphanumeric terms, optionally extended with precomputed enrichment terms
 (category names, underscored), and vectorized with a bounded vocabulary and
-smoothed tf-idf.  Information gain of term presence against a binary label
-supports the per-genre term analysis.
+smoothed tf-idf into a dense float64 matrix.  Information gain of term
+presence against a binary label supports the per-genre term analysis.
 """
 
 import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateLabel, EmptyCorpus
 
@@ -68,7 +67,7 @@ def build_vocabulary(corpus, max_size=DEFAULT_VOCAB_SIZE):
 
 @dataclass
 class TfIdfMatrix:
-    matrix: sparse.csr_matrix  # (m, |V|), rows l2-normalized
+    matrix: np.ndarray  # (m, |V|) float64, rows l2-normalized
     zero_rows: list[int]  # all-OOV documents, left as zero rows
 
 
@@ -78,9 +77,7 @@ def tfidf(corpus, vocab):
         raise EmptyCorpus("empty vocabulary")
     m = len(corpus)
     idf = np.log((1.0 + m) / (1.0 + vocab.doc_freq)) + 1.0
-    indptr = [0]
-    indices = []
-    data = []
+    mat = np.zeros((m, len(vocab)))
     zero_rows = []
     for i, tokens in enumerate(corpus):
         counts = {}
@@ -95,13 +92,7 @@ def tfidf(corpus, vocab):
         norm = np.linalg.norm(vals)
         if norm > 0:
             vals /= norm
-        indices.extend(row)
-        data.extend(vals.tolist())
-        indptr.append(len(indices))
-    mat = sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(m, len(vocab)),
-    )
+        mat[i, row] = vals
     return TfIdfMatrix(mat, zero_rows)
 
 

@@ -187,7 +187,11 @@ def train(model, x_train, y_train, x_val=None, y_val=None, config=None):
             record["val_loss"] = val_loss
             if val_loss < best_val - 1e-12:
                 best_val = val_loss
-                best_params = model.get_params()
+                if best_params is None:
+                    best_params = model.get_params()
+                else:  # overwrite the snapshot rather than allocate another
+                    for snap, (param, _) in zip(best_params, model.params_and_grads()):
+                        np.copyto(snap, param)
                 stale = 0
             else:
                 stale += 1

@@ -143,6 +143,9 @@ ROW = {"modality": "text", "target": "logistic", "settings": "vsm", "params": 1,
     ("report-row-lacks-column", 3), ("report-no-rows", 3), ("train-config-epochs-str", 2),
     ("train-config-bad-optimizer", 2), ("evaluate-out-missing-dir", 3),
     ("train-out-under-file", 3), ("synth-out-under-file", 3),
+    ("synth-negative-seed", 2), ("synth-zero-albums", 2), ("infogain-top-zero", 2),
+    ("infogain-top-negative", 2), ("fuse-unknown-modality", 2),
+    ("fuse-repeated-modality", 2),
 ])
 def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
     missing = str(tmp_path / "absent")
@@ -191,6 +194,15 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
                                      "--out", str(tmp_path / "absent" / "r.json")],
         "train-out-under-file": ["train", *tiny_ds, "--out", f"{a_file}/run"],
         "synth-out-under-file": ["synth", "--albums", "10", "--out", f"{a_file}/ds"],
+        "synth-negative-seed": ["synth", "--albums", "10", "--seed", "-1",
+                                "--out", str(tmp_path / "ds")],
+        "synth-zero-albums": ["synth", "--albums", "0", "--out", str(tmp_path / "ds")],
+        "infogain-top-zero": ["infogain", *tiny_ds, "--label", "genre00", "--top", "0"],
+        "infogain-top-negative": ["infogain", *tiny_ds, "--label", "genre00", "--top", "-3"],
+        "fuse-unknown-modality": ["fuse", f"A={good_preds}", f"X={good_preds}",
+                                  "--out", str(tmp_path / "f.mufv")],
+        "fuse-repeated-modality": ["fuse", f"A={good_preds}", f"A={good_preds}",
+                                   "--out", str(tmp_path / "f.mufv")],
     }[case]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from genrekit import binfile
 from genrekit.audiofeat import (
     Spectrogram,
     load_spectrogram,
@@ -154,3 +155,11 @@ def test_non_finite_payload_is_rejected(tmp_path, fmt):
     save(obj, path)
     with pytest.raises(NonFiniteValue):
         load(path)
+
+
+def test_write_non_contiguous_array_as_c_order_bytes(tmp_path):
+    a = np.arange(24.0).reshape(4, 6)
+    path = tmp_path / "f.bin"
+    for part in (a.T, a[:, ::2], np.asfortranarray(a)):
+        binfile.write(path, b"TEST", binfile.fields(1), part)
+        assert path.read_bytes() == b"TEST" + binfile.fields(1) + part.tobytes()

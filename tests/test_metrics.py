@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from genrekit.errors import AllLabelsSkipped, KOutOfRange
 from genrekit.metrics import (
@@ -11,6 +12,7 @@ from genrekit.metrics import (
     auc_per_label,
     coverage_at_k,
     evaluate,
+    midranks,
     scores_from_cosine_head,
     top_k_labels,
 )
@@ -77,6 +79,19 @@ def test_auc_invariant_under_monotone_transform(seed):
     base = auc_per_label(scores, truth)
     warped = auc_per_label(np.exp(2.0 * scores) + 5.0, truth)
     assert warped == pytest.approx(base, abs=1e-12)
+
+
+# a few values, signed zeros among them, so that most draws hold ties
+_TIED = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 1e-300, -1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_TIED, st.floats(allow_nan=False)), max_size=80))
+def test_midranks_equal_scipy_rankdata(values):
+    values = np.array(values, dtype=np.float64)
+    ranks = midranks(values)
+    assert ranks.dtype == np.float64
+    assert np.array_equal(ranks, rankdata(values))
 
 
 def test_auc_macro_skips_and_counts():

@@ -8,6 +8,7 @@ import pytest
 from genrekit.errors import ConfigInvalid, DataError, ShapeMismatch, TruncatedFile
 from genrekit.nn import (
     Adam,
+    Dense,
     ModelGraph,
     SGD,
     grad_check,
@@ -353,6 +354,19 @@ def test_dropout_requires_rng_in_train():
 
 
 # ------------------------------------------------------------- shape checks
+
+def test_dense_backward_writes_dw_into_one_buffer():
+    rng = np.random.default_rng(21)
+    layer = Dense(5, 3, rng)
+    dws = []
+    for batch in (4, 7):
+        x, dout = rng.normal(size=(batch, 5)), rng.normal(size=(batch, 3))
+        layer.forward(x, train=True)
+        layer.backward(dout)
+        np.testing.assert_array_equal(layer.dw, x.T @ dout)
+        dws.append(layer.dw)
+    assert dws[0] is dws[1]
+
 
 def test_dense_shape_mismatch():
     model = small_mlp()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from genrekit.errors import (
+    ConfigInvalid,
     DanglingPath,
     DuplicateId,
     IoError,
@@ -204,6 +205,14 @@ def test_synth_seed_changes_content(tmp_path):
     synth_dataset(SMALL, tmp_path / "d1")
     synth_dataset(dataclasses.replace(SMALL, seed=10), tmp_path / "d2")
     assert dir_digest(tmp_path / "d1") != dir_digest(tmp_path / "d2")
+
+
+@pytest.mark.parametrize("field", [{"seed": -1}, {"albums": 0}, {"tracks_per_album": 0}])
+def test_synth_refuses_bad_spec_before_writing(tmp_path, field):
+    import dataclasses
+    with pytest.raises(ConfigInvalid):
+        synth_dataset(dataclasses.replace(SMALL, **field), tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 def test_synth_manifest_is_valid_jsonl(tmp_path):

@@ -97,7 +97,7 @@ def test_tfidf_matches_oracle():
     corpus = [["aa", "bb", "aa"], ["bb", "cc"], ["aa"], []]
     vocab = build_vocabulary([c for c in corpus if c], max_size=10)
     result = tfidf(corpus, vocab)
-    np.testing.assert_allclose(result.matrix.toarray(),
+    np.testing.assert_allclose(result.matrix,
                                tfidf_oracle(corpus, vocab), atol=1e-12)
     assert result.zero_rows == [3]
 
@@ -109,7 +109,7 @@ def test_tfidf_rows_unit_norm():
               for _ in range(30)]
     vocab = build_vocabulary(corpus, max_size=15)
     mat = tfidf(corpus, vocab).matrix
-    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    norms = np.sqrt((mat * mat).sum(axis=1))
     nz = norms > 0
     np.testing.assert_allclose(norms[nz], 1.0, atol=1e-12)
 
@@ -118,7 +118,7 @@ def test_tfidf_oov_document_is_zero_row():
     vocab = build_vocabulary([["aa"]], max_size=1)
     result = tfidf([["zz", "qq"]], vocab)
     assert result.zero_rows == [0]
-    assert result.matrix.nnz == 0
+    assert np.count_nonzero(result.matrix) == 0
 
 
 # ----------------------------------------------------------- information gain

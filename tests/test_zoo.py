@@ -15,7 +15,7 @@ from genrekit.errors import (
     MissingModality,
     NonFiniteLoss,
 )
-from genrekit.nn import make_optimizer
+from genrekit.nn import ModelGraph, make_optimizer
 from genrekit.zoo import (
     AudioCnnConfig,
     TrainConfig,
@@ -132,6 +132,28 @@ def test_train_early_stopping_restores_best():
     best = min(r["val_loss"] for r in history)
     from genrekit.zoo import _epoch_loss
     assert _epoch_loss(model, xv, yv, 8) == pytest.approx(best, abs=1e-12)
+
+
+def test_train_restores_best_epoch_bit_for_bit():
+    """The best-validation snapshot, overwritten at each improvement, is
+    the parameters a run stopped after the best epoch ends with."""
+    x, y = make_toy(n=60)
+
+    def run(epochs, val):
+        model = ModelGraph((6,), [{"kind": "dense", "out": 5}, {"kind": "relu"}],
+                           {"kind": "logistic", "dim": 3}, seed=3)
+        history = train(model, x[20:], y[20:], *val,
+                        config=TrainConfig(epochs=epochs, batch_size=8, patience=2, seed=4,
+                                           optimizer={"kind": "adam", "lr": 0.1}))
+        return model, history
+
+    model, history = run(40, (x[:20], y[:20]))
+    val = [r["val_loss"] for r in history]
+    best = int(np.argmin(val))
+    assert 0 < best < len(history) - 1  # improved more than once, then got worse
+    reference, _ = run(best + 1, ())
+    for got, want in zip(model.get_params(), reference.get_params()):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_train_raises_on_nonfinite_loss():
