@@ -121,6 +121,10 @@ def cmd_evaluate(args):
     if unknown:
         raise DataError(f"{args.predictions}: {len(unknown)} ids are not in the manifest, "
                         f"e.g. {unknown[0]!r}")
+    n_labels = setup.truth.shape[1]
+    if scores.shape[1] != n_labels:
+        raise DataError(f"{args.predictions}: {scores.shape[1]} score columns, but the "
+                        f"manifest keeps {n_labels} labels")
     rows = [pos[i] for i in ids]
     truth = setup.truth[rows]
     report = metrics.evaluate(metrics.PredictionMatrix(scores, truth))

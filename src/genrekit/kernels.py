@@ -16,7 +16,14 @@ window position, and takes an in-place ``np.maximum`` over them: no window
 copy is made.  The argmax (the first window position holding the maximum)
 is counted in the same view order, and only when a backward pass will need
 it; the backward writes ``dout`` into one offset view of ``dx`` at a time.
-Every kernel is deterministic run-to-run.
+
+A conv and the max-pool after it can run fused (``pool=(ph, pw)``): each
+sample group's conv output is pooled as soon as its GEMM is done, and the
+backward widens the pooled gradient one group at a time, so neither the
+full-resolution map nor its gradient exists for the whole batch (20.6 MB
+each at the first audio stage of a batch of 16).  The fused kernels give
+the unfused chain's numbers bit for bit.  Every kernel is deterministic
+run-to-run.
 """
 
 import numpy as np
@@ -41,40 +48,77 @@ def _groups(x, kh, kw):
         yield s0, s1, cols
 
 
-def conv2d_forward(x, w, b):
-    """Valid convolution, stride 1. x (B,C,H,W), w (F,C,KH,KW), b (F,)."""
+def conv2d_forward(x, w, b, pool=None, need_arg=False):
+    """Valid convolution, stride 1. x (B,C,H,W), w (F,C,KH,KW), b (F,).
+
+    With ``pool=(ph, pw)`` each sample group's output goes straight through
+    ``maxpool_forward``, and (out, arg) of the pooled map is returned; arg
+    is None unless ``need_arg``.  The bias is added before pooling, as in the
+    unfused chain: added after, fl(x1 + b) can tie fl(x2 + b) with x1 < x2.
+    """
     F, _, KH, KW = w.shape
     B, OH, OW = x.shape[0], x.shape[2] - KH + 1, x.shape[3] - KW + 1
     wm = w.reshape(F, -1)
-    out = np.empty((B, F, OH, OW))
+    out = np.empty((B, F, OH // pool[0], OW // pool[1]) if pool else (B, F, OH, OW))
+    arg = None
     for s0, s1, cols in _groups(x, KH, KW):
-        out[s0:s1] = (wm @ cols).reshape(F, s1 - s0, OH, OW).transpose(1, 0, 2, 3)
-    out += b[None, :, None, None]
-    return out
+        conv = wm @ cols
+        conv += b[:, None]
+        conv = conv.reshape(F, s1 - s0, OH, OW).transpose(1, 0, 2, 3)
+        if pool is None:
+            out[s0:s1] = conv
+            continue
+        out[s0:s1], group_arg = maxpool_forward(conv, *pool, need_arg)
+        if need_arg:
+            if arg is None:
+                arg = np.empty(out.shape, group_arg.dtype)
+            arg[s0:s1] = group_arg
+    return out if pool is None else (out, arg)
 
 
-def conv2d_backward(x, w, dout, need_dx=True):
+def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
     """Gradients (dx, dw, db) of a valid stride-1 convolution.
 
     With ``need_dx=False`` the input gradient is not computed and ``dx`` is
-    None; ``dw`` and ``db`` are the same either way.
+    None; ``dw`` and ``db`` are the same either way.  With ``pool=(ph, pw)``,
+    ``dout`` and ``arg`` are the pooled gradient and argmax of a fused
+    forward, which ``maxpool_backward`` widens one sample group at a time.
+    ``db`` then matches ``dout.sum(axis=(0, 2, 3))`` of the widened map bit
+    for bit: numpy sums it one sample at a time in sample order, except a
+    one-filter map, which it sums as one flat run and so is kept whole.
     """
     F, C, KH, KW = w.shape
-    OH, OW = dout.shape[2], dout.shape[3]
+    B, OH, OW = x.shape[0], x.shape[2] - KH + 1, x.shape[3] - KW + 1
     wm = w.reshape(F, -1)
     dw = np.zeros(wm.shape)
-    db = dout.sum(axis=(0, 2, 3))
+    db = np.zeros(F)
     dx = np.zeros_like(x) if need_dx else None
+    if pool is None:
+        whole = dout
+    else:
+        whole = np.empty((B, 1, OH, OW)) if F == 1 else None
     for s0, s1, cols in _groups(x, KH, KW):
         n = s1 - s0
-        dout_g = dout[s0:s1].transpose(1, 0, 2, 3).reshape(F, -1)  # (F, n*OH*OW)
+        if pool is None:
+            dconv = dout[s0:s1]
+        else:
+            dconv = maxpool_backward(dout[s0:s1], arg[s0:s1], (n, F, OH, OW), *pool)
+            if whole is None:
+                for i in range(n):
+                    db += dconv[i].reshape(F, -1).sum(axis=1)
+            else:
+                whole[s0:s1] = dconv
+        dout_g = dconv.transpose(1, 0, 2, 3).reshape(F, -1)  # (F, n*OH*OW)
         dw += dout_g @ cols.T
         if need_dx:
-            # col2im: scatter the column gradient back, one kernel offset at a time
-            dcols = (wm.T @ dout_g).reshape(C, KH, KW, n, OH, OW)
+            # col2im: scatter the column gradient back, one kernel offset at a
+            # time; it overwrites the group's columns, which dw has consumed
+            dcols = np.matmul(wm.T, dout_g, out=cols).reshape(C, KH, KW, n, OH, OW)
             for i in range(KH):
                 for j in range(KW):
                     dx[s0:s1, :, i:i + OH, j:j + OW] += dcols[:, i, j].transpose(1, 0, 2, 3)
+    if whole is not None:
+        db = whole.sum(axis=(0, 2, 3))
     return dx, dw.reshape(w.shape), db
 
 

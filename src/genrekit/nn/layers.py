@@ -84,7 +84,12 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
+    """``ModelGraph`` sets ``pool`` to the window of a maxpool layer that
+    directly follows the conv, and sets that layer's ``fused``: the conv
+    then runs the fused conv + max-pool kernel."""
+
     params = ("w", "b")
+    pool = None
 
     def __init__(self, in_channels, n_filters, kh, kw, rng):
         if kh < 1 or kw < 1 or n_filters < 1:
@@ -94,6 +99,7 @@ class Conv2d(Layer):
         self.b = np.zeros(n_filters)
         self.dw = None
         self.db = None
+        self._arg = None
 
     def spec(self):
         f, _, kh, kw = self.w.shape
@@ -103,15 +109,28 @@ class Conv2d(Layer):
         if x.ndim != 4 or x.shape[1] != self.w.shape[1]:
             raise ShapeMismatch(f"conv2d expects (B, {self.w.shape[1]}, H, W), got {x.shape}")
         self._x = np.ascontiguousarray(x)
-        return kernels.conv2d_forward(self._x, self.w, self.b)
+        if self.pool is None:
+            return kernels.conv2d_forward(self._x, self.w, self.b)
+        # only a train-mode forward is followed by a backward
+        out, self._arg = kernels.conv2d_forward(
+            self._x, self.w, self.b, pool=self.pool, need_arg=train)
+        return out
 
     def backward(self, dout):
+        if self.pool is not None and self._arg is None:
+            raise ConfigInvalid("conv2d+maxpool backward needs a forward with train=True first")
         dx, self.dw, self.db = kernels.conv2d_backward(
-            self._x, self.w, np.ascontiguousarray(dout), need_dx=self.need_dx)
+            self._x, self.w, np.ascontiguousarray(dout), need_dx=self.need_dx,
+            pool=self.pool, arg=self._arg)
         return dx
 
 
 class MaxPool(Layer):
+    """A ``fused`` pool passes values and gradients through unchanged: the
+    conv before it has already pooled."""
+
+    fused = False
+
     def __init__(self, ph, pw):
         if ph < 1 or pw < 1:
             raise ConfigInvalid("pool dims must be >= 1")
@@ -123,12 +142,16 @@ class MaxPool(Layer):
         return {"kind": "maxpool", "ph": self.ph, "pw": self.pw}
 
     def forward(self, x, train=False, rng=None):
+        if self.fused:
+            return x
         self._shape = x.shape
         # only a train-mode forward is followed by a backward
         out, self._arg = kernels.maxpool_forward(x, self.ph, self.pw, need_arg=train)
         return out
 
     def backward(self, dout):
+        if self.fused:
+            return dout
         if self._arg is None:
             raise ConfigInvalid("maxpool backward needs a forward with train=True first")
         return kernels.maxpool_backward(dout, self._arg, self._shape, self.ph, self.pw)

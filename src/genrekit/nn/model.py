@@ -140,6 +140,11 @@ class ModelGraph:
         *self.layers, self.head_dense = [
             _build_layer(spec, dims, shape, rng) for spec, dims, shape, _ in plan]
         self.feature_dim = plan[-1][2][0]
+        # a conv directly followed by a max-pool runs both as one kernel
+        for conv, pool in zip(self.layers, self.layers[1:]):
+            if isinstance(conv, Conv2d) and isinstance(pool, MaxPool):
+                conv.pool = (pool.ph, pool.pw)
+                pool.fused = True
         self._out = None
         # backward stops at the lowest layer with parameters (the head at
         # the latest): no caller reads the input gradient below it

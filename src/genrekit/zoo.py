@@ -83,7 +83,8 @@ def build_audio_cnn(cfg, out_dim, n_bins=96, width=323, seed=0):
     of the values.  Both only compare and copy values: a window whose
     maximum is > 0 passes that value and routes its gradient to the same
     first argmax in either order, and a window whose maximum is <= 0
-    yields +0.0 and a +0.0 gradient everywhere in either order.
+    yields +0.0 and a +0.0 gradient everywhere in either order.  Since
+    each maxpool directly follows its conv, the two run as one fused kernel.
     """
     specs = []
     h, w = n_bins, width

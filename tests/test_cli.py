@@ -139,7 +139,7 @@ ROW = {"modality": "text", "target": "logistic", "settings": "vsm", "params": 1,
     ("train-config-not-json", 2), ("experiment-config-not-json", 2),
     ("infogain-config-not-json", 2), ("train-config-not-object", 2),
     ("experiment-config-not-list", 2), ("experiment-config-empty-list", 2),
-    ("evaluate-unknown-ids", 3), ("report-rows-not-json", 3),
+    ("evaluate-unknown-ids", 3), ("evaluate-wrong-columns", 3), ("report-rows-not-json", 3),
     ("report-row-lacks-column", 3), ("report-no-rows", 3), ("train-config-epochs-str", 2),
     ("train-config-bad-optimizer", 2), ("evaluate-out-missing-dir", 3),
     ("train-out-under-file", 3), ("synth-out-under-file", 3),
@@ -159,6 +159,8 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
     good_preds = tmp_path / "good.mufv"
     save_feature_vectors(np.random.default_rng(0).random((len(manifest), n_labels)),
                          manifest.ids(), good_preds)
+    wide_preds = tmp_path / "wide.mufv"
+    save_feature_vectors(np.zeros((len(manifest), n_labels + 1)), manifest.ids(), wide_preds)
     a_file = _write(tmp_path / "file", "")
     argv = {
         "missing-manifest": ["train", "--manifest", missing, *tiny_ds[2:]],
@@ -179,6 +181,7 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
                                          _write(tmp_path / "empty.json", "[]"),
                                          "--out", str(tmp_path / "runs")],
         "evaluate-unknown-ids": ["evaluate", *tiny_ds, "--predictions", str(preds)],
+        "evaluate-wrong-columns": ["evaluate", *tiny_ds, "--predictions", str(wide_preds)],
         "report-rows-not-json": ["report", "--rows", _write(rows, "{broken\n")],
         "report-row-lacks-column": [
             "report", "--rows", _write(rows, json.dumps(

@@ -299,3 +299,70 @@ def test_maxpool_argmax_dtype_holds_every_position(ph, pw, dtype):
     assert arg.dtype == dtype
     assert arg[0, 0, 0, 0] == ph * pw - 1
     assert_pool_matches_oracle(x, ph, pw, rng.normal(size=out.shape))
+
+
+# ------------------------------------------ fused conv + pool against the chain
+
+def unfused_chain(x, w, b, ph, pw, dout, need_dx):
+    """conv2d_forward -> maxpool_forward, then maxpool_backward -> conv2d_backward."""
+    conv = conv2d_forward(x, w, b)
+    out, arg = maxpool_forward(conv, ph, pw)
+    dconv = maxpool_backward(dout, arg, conv.shape, ph, pw)
+    return (out, arg) + conv2d_backward(x, w, dconv, need_dx=need_dx)
+
+
+@st.composite
+def fused_cases(draw):
+    B, C, F = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    H, W = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    KH, KW = draw(st.integers(1, H)), draw(st.integers(1, W))
+    ph, pw = draw(st.integers(1, H - KH + 1)), draw(st.integers(1, W - KW + 1))
+    cols = draw(st.sampled_from([1, 7, 40, 150, 1 << 18]))
+    return (B, C, H, W, F, KH, KW, ph, pw, cols, draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fused_cases())
+def test_fused_conv_pool_equals_unfused_chain(case):
+    """The fused kernels give the chain's pooled map, argmax and gradients
+    to the bit.  A zeroed input region makes the conv output equal the bias
+    there, so windows hold exact ties."""
+    B, C, H, W, F, KH, KW, ph, pw, cols, need_dx, seed = case
+    rng = np.random.default_rng(seed)
+    x, w, b = random_case(rng, B=B, C=C, H=H, W=W, F=F, KH=KH, KW=KW)
+    r0, c0 = rng.integers(0, H), rng.integers(0, W)
+    x[rng.integers(0, B), :, r0:r0 + rng.integers(1, H + 1), c0:c0 + rng.integers(1, W + 1)] = 0.0
+    dout = rng.normal(size=(B, F, (H - KH + 1) // ph, (W - KW + 1) // pw))
+    with column_cap(cols):
+        want = unfused_chain(x, w, b, ph, pw, dout, need_dx)
+        out, arg = conv2d_forward(x, w, b, pool=(ph, pw), need_arg=True)
+        no_arg_out, no_arg = conv2d_forward(x, w, b, pool=(ph, pw))
+        grads = conv2d_backward(x, w, dout, need_dx=need_dx, pool=(ph, pw), arg=arg)
+    assert no_arg is None
+    np.testing.assert_array_equal(no_arg_out, want[0])
+    assert arg.dtype == want[1].dtype
+    for got, expect in zip((out, arg) + grads, want):
+        if expect is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, expect)
+
+
+def test_fused_stage_never_holds_a_full_resolution_map():
+    """The audio CNN's first stage (70x4 filters over a batch of 16 96x96
+    patches, 2x4 pool): one fused forward and backward peak below the
+    16*64*27*93 float64 conv output that the unfused chain allocates."""
+    import tracemalloc
+    rng = np.random.default_rng(15)
+    x, w, b = random_case(rng, B=16, C=1, H=96, W=96, F=64, KH=70, KW=4)
+    dout = rng.normal(size=(16, 64, 27 // 2, 93 // 4))
+    full_map = 8 * 16 * 64 * 27 * 93
+    tracemalloc.start()
+    try:
+        _, arg = conv2d_forward(x, w, b, pool=(2, 4), need_arg=True)
+        conv2d_backward(x, w, dout, pool=(2, 4), arg=arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_map

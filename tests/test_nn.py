@@ -325,6 +325,52 @@ def test_maxpool_backward_after_eval_forward_raises():
         layer.backward(np.ones((1, 1, 2, 2)))
 
 
+def test_only_a_conv_directly_followed_by_a_pool_is_fused():
+    fused, unfused = two_stage_cnn(True), two_stage_cnn(False)
+    assert [layer.pool for layer in fused.layers[0:6:3]] == [(2, 2), (1, 2)]
+    assert all(layer.fused for layer in fused.layers[1:6:3])
+    assert [layer.pool for layer in unfused.layers[0:6:3]] == [None, None]
+    assert not any(layer.fused for layer in unfused.layers[2:6:3])
+
+
+def test_fused_conv_backward_after_eval_forward_raises():
+    model = two_stage_cnn(pool_first=True)
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(2, 1, 7, 9))
+    y = rng.integers(0, 2, size=(2, 3)).astype(float)
+    model.forward(x, train=True, rng=np.random.default_rng(17))
+    model.forward(x)
+    _, dz = model.loss_grad(y)
+    with pytest.raises(ConfigInvalid, match="train=True"):
+        model.backward(dz)
+    model.forward(x, train=True, rng=np.random.default_rng(17))
+    _, dz = model.loss_grad(y)
+    model.backward(dz)
+
+
+def test_fused_model_checkpoint_keeps_the_unfused_layer_list(tmp_path):
+    """Fusion is not saved: the header lists each conv2d and maxpool, as
+    before fusion existed, and the loaded model predicts the same as the
+    saved one and as the same weights run without fusion, to the bit."""
+    model = two_stage_cnn(pool_first=True)
+    path = tmp_path / "m.munn"
+    save_model(model, path)
+    loaded, unfused = load_model(path), load_model(path)
+    for conv, pool in zip(unfused.layers[0:6:3], unfused.layers[1:6:3]):
+        conv.pool, pool.fused = None, False
+    specs = [{"kind": "conv2d", "filters": 3, "kh": 2, "kw": 2},
+             {"kind": "maxpool", "ph": 2, "pw": 2}, {"kind": "relu"},
+             {"kind": "conv2d", "filters": 2, "kh": 2, "kw": 2},
+             {"kind": "maxpool", "ph": 1, "pw": 2}, {"kind": "relu"},
+             {"kind": "flatten"}, {"kind": "dense", "out": 4}, {"kind": "relu"}]
+    assert [layer.spec() for layer in loaded.layers] == specs
+    x = np.random.default_rng(18).normal(size=(4, 1, 7, 9))
+    x[:, :, 1:5, 2:7] = 0.0
+    want = model.forward(x)
+    np.testing.assert_array_equal(loaded.forward(x), want)
+    np.testing.assert_array_equal(unfused.forward(x), want)
+
+
 # ------------------------------------------------------------------- dropout
 
 def test_dropout_eval_mode_is_identity():
