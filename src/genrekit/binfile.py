@@ -1,12 +1,12 @@
 """The binary frame behind every artifact format, and checked file reads
-and writes.  No other module opens a file for writing; a failed write
-raises ``IoError``.
+and writes.  No other module opens a file: every write, binary or text,
+goes through ``write``, and a failed write raises ``IoError``.
 
-An artifact is a 4-byte magic, then little-endian ``<I`` header fields and
-typed arrays in the order its format fixes, and nothing after them.  A read
-fails with a ``DataError`` (CLI exit 3): ``IoError``, ``BadMagic``,
-``TruncatedFile`` (checked before allocating), ``NonFiniteValue`` or
-``TrailingBytes``.
+An artifact is a 4-byte magic, then little-endian ``<I`` header fields,
+typed arrays and UTF-8 strings in the order its format fixes, and nothing
+after them.  A read fails with a ``DataError`` (CLI exit 3): ``IoError``,
+``BadMagic``, ``TruncatedFile`` (checked before allocating),
+``NonFiniteValue``, ``TrailingBytes``, or a string that is not UTF-8.
 """
 
 import math
@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import BadMagic, IoError, NonFiniteValue, TrailingBytes, TruncatedFile
+from .errors import BadMagic, DataError, IoError, NonFiniteValue, TrailingBytes, TruncatedFile
 
 
 def read_text(path):
@@ -36,13 +36,19 @@ def make_dirs(path):
         raise IoError(f"{path}: cannot make directory: {exc}") from exc
 
 
+def remove(path):
+    """Removes the file `path` if there is one; IoError if it cannot."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise IoError(f"{path}: cannot remove: {exc}") from exc
+
+
 def write_text(path, text):
     """`text` as UTF-8; IoError if the file cannot be written."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"{path}: cannot write: {exc}") from exc
+    write(path, text.encode("utf-8"))
 
 
 def fields(*values):
@@ -50,12 +56,21 @@ def fields(*values):
     return struct.pack(f"<{len(values)}I", *values)
 
 
-def write(path, magic, *parts):
-    """`magic`, then each part: bytes as given, arrays in their own dtype
+def strings(values):
+    """Strings as two parts, their UTF-8 byte lengths as ``<u4`` and then the
+    bytes; DataError for a value that is not a str or holds a lone surrogate."""
+    try:
+        encoded = [str.encode(value, "utf-8") for value in values]
+    except (TypeError, UnicodeEncodeError) as exc:
+        raise DataError(f"cannot store a string as UTF-8: {exc}") from exc
+    return np.array([len(e) for e in encoded], "<u4"), b"".join(encoded)
+
+
+def write(path, *parts):
+    """Each part, the magic first: bytes as given, arrays in their own dtype
     and C order, written from their buffer (a copy only if not contiguous)."""
     try:
         with open(path, "wb") as fh:
-            fh.write(magic)
             for part in parts:
                 fh.write(part if isinstance(part, bytes) else np.ascontiguousarray(part).data)
     except OSError as exc:
@@ -66,7 +81,7 @@ class Reader:
     """Reads a file's frame front to back."""
 
     def __init__(self, path, data):
-        self.path, self._data, self._pos = path, data, 4
+        self.path, self.magic, self._data, self._pos = path, data[:4], data, 4
 
     def _take(self, n):
         if n > len(self._data) - self._pos:
@@ -87,17 +102,26 @@ class Reader:
             raise NonFiniteValue(f"{self.path}: non-finite value in a {dtype} array")
         return values.reshape(shape)
 
+    def strings(self, n):
+        """The next `n` strings, as `strings` writes them."""
+        spans = [(self._take(k), k) for k in self.array("<u4", (n,)).tolist()]
+        try:
+            return [self._data[at:at + k].decode("utf-8") for at, k in spans]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: a string is not UTF-8: {exc}") from exc
+
 
 @contextmanager
-def reader(path, magic):
-    """A Reader over `path`; leaving the block checks every byte was read."""
+def reader(path, *magics):
+    """A Reader over `path`, whose magic must be one of `magics`; leaving the
+    block checks every byte was read."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise IoError(f"{path}: cannot read: {exc}") from exc
-    if data[:4] != magic:
-        raise BadMagic(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+    if data[:4] not in magics:
+        raise BadMagic(f"{path}: magic {data[:4]!r} is not {' or '.join(map(repr, magics))}")
     frame = Reader(path, data)
     yield frame
     if frame._pos != len(data):

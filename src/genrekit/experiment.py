@@ -186,7 +186,11 @@ def image_features(manifest):
     for it in manifest.items:
         if not it.image_vec:
             raise DataError(f"item {it.id!r} has no image vector")
-        mat, _ = zoo.load_feature_vectors(manifest.resolve(it.image_vec))
+        path = manifest.resolve(it.image_vec)
+        mat, ids = zoo.load_feature_vectors(path)
+        if ids != [it.id]:
+            raise DataError(f"{path}: image vector ids {ids!r}, expected one row "
+                            f"for album {it.id!r}")
         out.append(mat[0])
     return np.asarray(out)
 
@@ -301,6 +305,7 @@ def run_experiment(cfg, manifest, tax):
     """Execute one results row. Returns a dict with the evaluation report,
     the table row, the album-level feature matrix, and artifact paths."""
     binfile.make_dirs(cfg.out_dir)
+    binfile.remove(os.path.join(cfg.out_dir, "row.json"))  # written last: marks a complete row
     setup = prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
     factor_model = fit_factors(setup, cfg.d) if cfg.target == "cosine" else None
     n_out = (len(setup.kept_labels) if cfg.target == "logistic"
@@ -377,12 +382,12 @@ def run_experiment(cfg, manifest, tax):
     zoo.save_feature_vectors(pred.scores, test_ids, paths["predictions"])
     paths["report"] = os.path.join(cfg.out_dir, "report.json")
     binfile.write_text(paths["report"], report.to_json())
-    paths["row"] = os.path.join(cfg.out_dir, "row.json")
-    binfile.write_text(paths["row"], json.dumps(row, sort_keys=True) + "\n")
     for name, history in histories.items():
         p = os.path.join(cfg.out_dir, f"history_{name}.jsonl")
         zoo.save_history(history, p)
         paths[f"history_{name}"] = p
+    paths["row"] = os.path.join(cfg.out_dir, "row.json")
+    binfile.write_text(paths["row"], json.dumps(row, sort_keys=True) + "\n")
 
     return {"report": report, "row": row, "features": feature_matrix,
             "prediction": pred, "paths": paths, "config": cfg}

@@ -280,26 +280,24 @@ HEADER_KEYS = frozenset(("input_shape", "specs", "head", "seed"))
 
 
 def save_model(model, path):
-    """Header length, the JSON header, then every parameter block as f64."""
-    header = {
+    """The JSON header as one string, then every parameter block as f64."""
+    header = json.dumps({
         "input_shape": list(model.input_shape),
         "specs": [layer.spec() for layer in model.layers],
         "head": model.head,
         "seed": model.seed,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    }, sort_keys=True)
     params = [np.asarray(getattr(layer, attr), "<f8") for _, layer, attr in model.param_blocks()]
-    binfile.write(path, MODEL_MAGIC, binfile.fields(len(blob)), blob, *params)
+    binfile.write(path, MODEL_MAGIC, *binfile.strings([header]), *params)
 
 
 def load_model(path):
     """The payload must hold exactly the parameters the header declares;
     that is checked before any weight is allocated."""
     with binfile.reader(path, MODEL_MAGIC) as frame:
-        blob = frame.array("u1", frame.fields(1)).tobytes()
         try:
-            header = json.loads(blob.decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or bad JSON
+            header = json.loads(frame.strings(1)[0])
+        except ValueError as exc:
             raise ConfigInvalid(f"{path}: model header is not JSON: {exc}") from exc
         missing = HEADER_KEYS.difference(header) if isinstance(header, dict) else HEADER_KEYS
         if missing:

@@ -169,9 +169,9 @@ def _smooth_profile(rng, n_bins):
 def synth_dataset(spec, out_dir):
     """Generate a fully synthetic multimodal dataset on disk.
 
-    Writes taxonomy.txt, manifest.jsonl, spectrograms (MUCQ), timbre
-    matrices (MUTB), and per-album image vectors (MUFV).  Byte-identical
-    across runs for a fixed spec.
+    Writes taxonomy.txt, manifest.jsonl, spectrograms (MUCQ), timbre matrices
+    (MUTB), and per album one image vector file (MUFI) whose one row has the
+    album's id.  Byte-identical across runs for a fixed spec.
     """
     if min(spec.n_top_genres, spec.subs_per_genre, spec.albums, spec.tracks_per_album) < 1:
         raise ConfigInvalid("all synth counts must be >= 1")

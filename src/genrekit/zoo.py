@@ -12,7 +12,6 @@ import numpy as np
 from . import binfile
 from .errors import (
     ConfigInvalid,
-    DataError,
     EmptyAlbum,
     IdCountMismatch,
     MissingModality,
@@ -282,32 +281,28 @@ def fuse(modality_vectors, selection=MODALITY_ORDER):
 
 # ------------------------------------------------------------- serialization
 
-FEATURE_MAGIC = b"MUFV"
+FEATURE_MAGIC = b"MUFI"
+LEGACY_FEATURE_MAGIC = b"MUFV"  # read, never written: ids in a line-based .ids sidecar
 
 
 def save_feature_vectors(matrix, item_ids, path):
-    """The matrix, and its item ids one per line in a ``.ids`` sidecar.  An id
-    the sidecar cannot give back unchanged is refused before anything is
-    written: a non-string or empty id, one with leading or trailing
-    whitespace (the loader strips lines), or one holding a line break."""
+    """The matrix and its item ids, any strings, in one frame; a non-string id
+    or one holding a lone surrogate is refused before anything is written."""
     matrix = np.asarray(matrix, dtype="<f8")
     m, dim = matrix.shape
     if len(item_ids) != m:
         raise ConfigInvalid("item id count does not match matrix rows")
-    for item_id in item_ids:
-        if (not isinstance(item_id, str) or not item_id or item_id != item_id.strip()
-                or "\n" in item_id or "\r" in item_id):
-            raise DataError(f"item id {item_id!r} cannot be stored in an .ids sidecar")
-    binfile.write(path, FEATURE_MAGIC, binfile.fields(m, dim), matrix)
-    binfile.write_text(str(path) + ".ids", "".join(f"{item_id}\n" for item_id in item_ids))
+    binfile.write(path, FEATURE_MAGIC, binfile.fields(m, dim), matrix, *binfile.strings(item_ids))
 
 
 def load_feature_vectors(path):
-    with binfile.reader(path, FEATURE_MAGIC) as frame:
+    """(matrix, item ids); a legacy MUFV file's ids come from its .ids sidecar."""
+    with binfile.reader(path, FEATURE_MAGIC, LEGACY_FEATURE_MAGIC) as frame:
         m, dim = frame.fields(2)
         matrix = frame.array("<f8", (m, dim)).copy()
-    lines = binfile.read_text(str(path) + ".ids").split("\n")
-    item_ids = [ln.strip() for ln in lines if ln.strip()]
+        if frame.magic == FEATURE_MAGIC:
+            return matrix, frame.strings(m)
+    item_ids = [ln.strip() for ln in binfile.read_text(f"{path}.ids").split("\n") if ln.strip()]
     if len(item_ids) != m:
         raise IdCountMismatch(f"{path}: {m} rows but {len(item_ids)} ids in its .ids sidecar")
     return matrix, item_ids

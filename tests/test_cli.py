@@ -19,6 +19,7 @@ def test_synth_and_factorize(tmp_path, capsys):
     assert code == 0
     assert (ds / "manifest.jsonl").exists()
     assert (ds / "taxonomy.txt").exists()
+    assert list(ds.rglob("*.ids")) == []
 
     out = tmp_path / "factors.muf"
     code = main(["factorize", "--manifest", str(ds / "manifest.jsonl"),
@@ -242,9 +243,8 @@ def test_extract_matches_the_rows_features(tmp_path, capsys, tiny_ds, row, check
     out = tmp_path / "x.mufv"
     assert main(["extract", *tiny_ds, "--config", cfg, "--model", str(run / checkpoint),
                  "--out", str(out)]) == 0
-    for suffix in ("", ".ids"):
-        assert (tmp_path / f"x.mufv{suffix}").read_bytes() == \
-            (run / f"features.mufv{suffix}").read_bytes()
+    assert out.read_bytes() == (run / "features.mufv").read_bytes()
+    assert list(tmp_path.rglob("*.ids")) == []
 
 
 def test_extract_keeps_the_config_seed(tmp_path, capsys, tiny_ds):
@@ -259,3 +259,23 @@ def test_extract_keeps_the_config_seed(tmp_path, capsys, tiny_ds):
     assert main(["extract", *tiny_ds, "--config", cfg, "--model",
                  str(tmp_path / "run" / "track_model.munn"), "--out", str(out)]) == 0
     assert out.read_bytes() == (tmp_path / "run" / "features.mufv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["other-album", "no-rows", "two-rows"])
+def test_image_vector_file_must_hold_its_album(tmp_path, capsys, case):
+    """An image row trains only on one vector per album whose id is the album's."""
+    ds = tmp_path / "ds"
+    manifest, _ = synth_dataset(SynthSpec(n_top_genres=2, subs_per_genre=2, albums=12,
+                                          tracks_per_album=1, seed=3, image_dim=4), ds)
+    victim, other = manifest.items[0], manifest.items[1]
+    vectors = {"other-album": (np.ones((1, 4)), [other.id]),
+               "no-rows": (np.ones((0, 4)), []),
+               "two-rows": (np.ones((2, 4)), [victim.id, victim.id])}[case]
+    save_feature_vectors(*vectors, manifest.resolve(victim.image_vec))
+    cfg = _write(tmp_path / "cfg.json", json.dumps(
+        {"modality": "image", "settings": "ingested", "epochs": 2}))
+    assert main(["train", "--manifest", str(ds / "manifest.jsonl"),
+                 "--taxonomy", str(ds / "taxonomy.txt"), "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert victim.image_vec in err and "Traceback" not in err

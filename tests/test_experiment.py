@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from genrekit.errors import ConfigError, ConfigInvalid
+from genrekit import zoo
+from genrekit.errors import ConfigError, ConfigInvalid, IoError
 from genrekit.experiment import (
     ExperimentConfig,
     fit_factors,
@@ -173,6 +174,22 @@ def test_run_experiment_report_rerun_identical(small_dataset, tmp_path):
     bytes_a = open(a["paths"]["report"], "rb").read()
     bytes_b = open(b["paths"]["report"], "rb").read()
     assert bytes_a == bytes_b
+
+
+def test_run_experiment_writes_row_json_last(small_dataset, tmp_path, monkeypatch):
+    """A rerun into a finished row directory first removes its row.json, so
+    a rerun that fails before its end leaves no row.json behind."""
+    first = run_cheap(small_dataset, tmp_path, epochs=2)
+    assert os.path.exists(first["paths"]["row"])
+
+    def failing_save_history(history, path):
+        raise IoError(f"{path}: cannot write")
+
+    monkeypatch.setattr(zoo, "save_history", failing_save_history)
+    with pytest.raises(IoError):
+        run_cheap(small_dataset, tmp_path, epochs=2)
+    assert os.path.exists(first["paths"]["report"])
+    assert not os.path.exists(first["paths"]["row"])
 
 
 # -------------------------------------------------------------------- report

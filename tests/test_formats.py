@@ -1,6 +1,9 @@
-"""All five binary artifact formats: pinned bytes and hostile-input behaviour."""
+"""All binary artifact formats, and the legacy feature-vector pair that is
+still read: pinned bytes and hostile-input behaviour."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from genrekit.errors import (
     IoError,
     NonFiniteValue,
     TrailingBytes,
+    TruncatedFile,
 )
 from genrekit.labelspace import FactorModel, load_factor_model, save_factor_model
 from genrekit.nn import ModelGraph, load_model, save_model
@@ -33,16 +37,29 @@ def _model():
     return ModelGraph((1, 4, 5), specs, {"kind": "cosine", "dim": 2}, seed=3)
 
 
-# name -> (save(obj, path), load(path) -> arrays to compare, fixed input)
+def save_legacy_feature_vectors(matrix, item_ids, path):
+    """The MUFV file and its ``.ids`` sidecar, one id per line, as genrekit
+    wrote them before item ids moved into the frame.  genrekit still reads
+    such a pair but no longer writes one."""
+    matrix = np.asarray(matrix, "<f8")
+    binfile.write(path, b"MUFV", binfile.fields(*matrix.shape), matrix)
+    binfile.write_text(f"{path}.ids", "".join(f"{item_id}\n" for item_id in item_ids))
+
+
+VECTORS = np.arange(6.0).reshape(2, 3) * 0.25
+FEATURE_IDS = {"MUFI": ["x1", " \u00e9\n"], "MUFV": ["x1", "x2"]}
+
+# name -> (save(obj, path), load(path) -> arrays (and ids) to compare, fixed input)
 FORMATS = {
     "MUCQ": (lambda v, p: save_spectrogram(Spectrogram(v), p),
              lambda p: [load_spectrogram(p).values],
              np.arange(12.0).reshape(3, 4) / 8 - 0.5),
     "MUTB": (save_timbre, lambda p: [load_timbre(p)],
              np.linspace(-1.0, 1.0, 36).reshape(12, 3)),
-    "MUFV": (lambda v, p: save_feature_vectors(v, ["x1", "x2"], p),
-             lambda p: [load_feature_vectors(p)[0]],
-             np.arange(6.0).reshape(2, 3) * 0.25),
+    "MUFI": (lambda v, p: save_feature_vectors(v, FEATURE_IDS["MUFI"], p),
+             lambda p: list(load_feature_vectors(p)), VECTORS),
+    "MUFV": (lambda v, p: save_legacy_feature_vectors(v, FEATURE_IDS["MUFV"], p),
+             lambda p: list(load_feature_vectors(p)), VECTORS),
     "MUF1": (save_factor_model,
              lambda p: [(f := load_factor_model(p)).label_factors, f.singular_values],
              FactorModel(2, np.array([[0.6, -0.8], [1.0, 0.0], [0.0, 1.0]]),
@@ -50,10 +67,13 @@ FORMATS = {
     "MUNN": (save_model, lambda p: load_model(p).get_params(), _model()),
 }
 
-# sha256 of each save_* on its fixed input: the on-disk layout is pinned
+# sha256 of each save_* on its fixed input: the on-disk layout is pinned.
+# MUFV and MUFV.ids are the legacy pair's digests from before the ids moved
+# into the frame.
 GOLDEN = {
     "MUCQ": "9869fb417b356e9e3bcd88fc0137a4ef07e8ad797fcf23096cf73de698e8f338",
     "MUTB": "4292e453f6355733835a248e707bacd915ece51631ae51f3c51f8d2de3b2c25d",
+    "MUFI": "1528b382ee88d8d14f0bece64f0427ee8537d673131a8f74f487488b600e9168",
     "MUFV": "00f6e68c1e04b6c93f3f23fc8cd31e206fbfd36598a8f5eb88eade9a8bac1269",
     "MUFV.ids": "bcd36a814884aa63ca5e0d9fda82814069d2dc2daf6ba12b7c8e129ff02f169a",
     "MUF1": "0d41356686f0882f87beaea09ca1718f27f2ca89f704b751de923da5f9c4fffe",
@@ -73,6 +93,12 @@ def test_save_bytes_are_pinned(tmp_path, fmt):
     assert _sha(path) == GOLDEN[fmt]
     if fmt == "MUFV":
         assert _sha(tmp_path / "f.bin.ids") == GOLDEN["MUFV.ids"]
+    else:
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+    if fmt in FEATURE_IDS:  # the new layout, and the legacy pair by its own branch
+        matrix, ids = load_feature_vectors(path)
+        np.testing.assert_array_equal(matrix, obj)
+        assert ids == FEATURE_IDS[fmt]
 
 
 def _differing(got, want):
@@ -100,8 +126,9 @@ def mutations(draw, n):
 @given(data=st.data())
 def test_mutated_file_loads_or_raises(tmp_path, fmt, data):
     """A cut or lengthened file always raises a GenrekitError.  A flipped
-    byte raises one, or it loads to the original arrays with at most one
-    element changed (a payload value: the formats carry no checksum)."""
+    byte raises one, or it loads to the original arrays and ids with at most
+    one element changed (a payload value or one id: the formats carry no
+    checksum)."""
     save, load, obj = FORMATS[fmt]
     path = tmp_path / "f.bin"
     save(obj, path)
@@ -140,11 +167,12 @@ def test_trailing_byte_is_rejected(tmp_path, fmt):
         load(path)
 
 
-@pytest.mark.parametrize("fmt", ["MUTB", "MUFV", "MUF1", "MUNN"])
+@pytest.mark.parametrize("fmt", ["MUTB", "MUFI", "MUFV", "MUF1", "MUNN"])
 def test_non_finite_payload_is_rejected(tmp_path, fmt):
     save, load, _ = FORMATS[fmt]
     obj = {
         "MUTB": np.full((12, 1), np.inf),
+        "MUFI": np.array([[1.0, np.nan, 2.0], [0.0, 0.0, 0.0]]),
         "MUFV": np.array([[1.0, np.nan, 2.0], [0.0, 0.0, 0.0]]),
         "MUF1": FactorModel(1, np.array([[np.nan]]), np.array([1.0])),
         "MUNN": _model(),
@@ -163,3 +191,31 @@ def test_write_non_contiguous_array_as_c_order_bytes(tmp_path):
     for part in (a.T, a[:, ::2], np.asfortranarray(a)):
         binfile.write(path, b"TEST", binfile.fields(1), part)
         assert path.read_bytes() == b"TEST" + binfile.fields(1) + part.tobytes()
+
+
+def test_stale_ids_sidecar_beside_a_new_file_is_ignored(tmp_path):
+    """The magic alone picks the layout: a new file takes its ids from its
+    frame even with a legacy sidecar beside it, and a new file cut after its
+    matrix is truncated, not read as a legacy one."""
+    path = tmp_path / "f.mufv"
+    save_legacy_feature_vectors(VECTORS, ["old1", "old2"], path)
+    save_feature_vectors(VECTORS, ["new1", "new2"], path)
+    assert load_feature_vectors(path)[1] == ["new1", "new2"]
+    path.write_bytes(path.read_bytes()[:12 + VECTORS.nbytes])
+    with pytest.raises(TruncatedFile):
+        load_feature_vectors(path)
+
+
+def test_only_binfile_opens_files():
+    """Every file the library writes goes through binfile's one ``open`` call."""
+    src = Path(__file__).resolve().parents[1] / "src" / "genrekit"
+    callers = []
+    for module in sorted(src.rglob("*.py")):
+        if module.name == "binfile.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and (
+                    getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open"):
+                callers.append(f"{module.relative_to(src)}:{node.lineno}")
+    assert callers == []

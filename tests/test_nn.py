@@ -481,6 +481,13 @@ def test_checkpoint_header_not_json(tmp_path):
         load_model(path)
 
 
+def test_checkpoint_header_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "m.munn"
+    _write_header(path, b'{"head": "\xff"}')
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("key", ["head", "specs", "input_shape", "seed"])
 def test_checkpoint_header_missing_key(tmp_path, key):
     path = tmp_path / "m.munn"

@@ -30,6 +30,7 @@ from genrekit.zoo import (
     save_feature_vectors,
     train,
 )
+from test_formats import save_legacy_feature_vectors
 
 
 # ------------------------------------------------------------- architectures
@@ -251,7 +252,7 @@ def test_feature_vector_roundtrip(tmp_path):
 
 def test_feature_vectors_missing_ids_sidecar(tmp_path):
     path = tmp_path / "f.mufv"
-    save_feature_vectors(np.ones((3, 2)), ["a", "b", "c"], path)
+    save_legacy_feature_vectors(np.ones((3, 2)), ["a", "b", "c"], path)
     (tmp_path / "f.mufv.ids").unlink()
     with pytest.raises(IoError):
         load_feature_vectors(path)
@@ -260,7 +261,7 @@ def test_feature_vectors_missing_ids_sidecar(tmp_path):
 
 def test_feature_vectors_ids_count_mismatch(tmp_path):
     path = tmp_path / "f.mufv"
-    save_feature_vectors(np.ones((3, 2)), ["a", "b", "c"], path)
+    save_legacy_feature_vectors(np.ones((3, 2)), ["a", "b", "c"], path)
     for text, n_ids in (("a\n", 1), ("a\nb\nc\nd\n", 4)):
         (tmp_path / "f.mufv.ids").write_text(text)
         with pytest.raises(IdCountMismatch, match=f"3 rows but {n_ids} ids"):
@@ -268,10 +269,20 @@ def test_feature_vectors_ids_count_mismatch(tmp_path):
         assert main(["fuse", f"A={path}", "--out", str(tmp_path / "o.mufv")]) == 3
 
 
-@pytest.mark.parametrize("bad", ["", " a", "b ", "a\nb", "a\rb", "\t", 7, None],
+@pytest.mark.parametrize("odd", ["", " a", "b ", "a\nb", "a\rb", "\t"],
                          ids=["empty", "leading-space", "trailing-space", "newline",
-                              "carriage-return", "tab-only", "int", "none"])
-def test_feature_vectors_refuse_ids_the_sidecar_cannot_keep(tmp_path, bad):
+                              "carriage-return", "tab-only"])
+def test_feature_vectors_any_string_id_round_trips(tmp_path, odd):
+    """Ids the old line-based sidecar refused now round-trip exactly."""
+    path = tmp_path / "f.mufv"
+    save_feature_vectors(np.ones((2, 2)), ["ok", odd], path)
+    assert load_feature_vectors(path)[1] == ["ok", odd]
+    assert [p.name for p in tmp_path.iterdir()] == ["f.mufv"]
+
+
+@pytest.mark.parametrize("bad", [7, None, b"x", "\ud800"],
+                         ids=["int", "none", "bytes", "lone-surrogate"])
+def test_feature_vectors_refuse_ids_that_are_not_text(tmp_path, bad):
     path = tmp_path / "f.mufv"
     with pytest.raises(DataError):
         save_feature_vectors(np.ones((2, 2)), ["ok", bad], path)
@@ -279,11 +290,8 @@ def test_feature_vectors_refuse_ids_the_sidecar_cannot_keep(tmp_path, bad):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4))
+@given(st.lists(st.text(max_size=6), max_size=4))
 def test_feature_vectors_accepted_ids_round_trip(tmp_path_factory, ids):
     path = tmp_path_factory.mktemp("ids") / "f.mufv"
-    try:
-        save_feature_vectors(np.zeros((len(ids), 1)), ids, path)
-    except DataError:
-        return
+    save_feature_vectors(np.zeros((len(ids), 1)), ids, path)
     assert load_feature_vectors(path)[1] == ids
