@@ -107,7 +107,9 @@ def standardize(patches, stats):
         raise StatsDimensionMismatch(
             f"patches have {patches.shape[-2]} bins, stats have {stats.mean.shape[0]}")
     denom = np.maximum(stats.std, BinStats.STD_FLOOR)
-    return (patches - stats.mean[..., :, None]) / denom[..., :, None]
+    out = np.subtract(patches, stats.mean[..., :, None])
+    out /= denom[..., :, None]
+    return out
 
 
 def timbre_stats(timbre):

@@ -93,6 +93,10 @@ class NonFiniteLoss(NumericError):
     pass
 
 
+class BadModelHeader(DataError):
+    """A checkpoint header that declares no valid graph."""
+
+
 # --- model zoo ---
 
 class EmptyAlbum(DataError):

@@ -50,7 +50,32 @@ class Layer:
         raise NotImplementedError
 
 
+class FactoredGrad:
+    """A dense layer's weight gradient ``x.T @ dout``, kept as its two
+    factors so that no array the size of the weights is allocated for it.
+
+    It holds the layer's cached input ``x`` and ``dout`` without copying
+    them: a caller that changes its batch in place between backward and
+    the optimizer step changes the gradient too.
+    """
+
+    def __init__(self, x, dout):
+        self.x = x
+        self.dout = dout
+        self.shape = (x.shape[1], dout.shape[1])
+
+    def rows(self, r0, r1, out):
+        """Rows ``r0:r1`` of the gradient, written into ``out`` of shape
+        ``(r1 - r0, width)``.  BLAS forms a one-row block with gemv, which
+        can round differently from the whole product."""
+        return np.matmul(self.x[:, r0:r1].T, self.dout, out=out)
+
+
 class Dense(Layer):
+    """``backward`` leaves ``dw`` as a ``FactoredGrad`` of the cached batch,
+    which the optimizer step forms one block of rows at a time; changing
+    the batch in place before the step changes the gradient."""
+
     params = ("w", "b")
 
     def __init__(self, in_dim, out_dim, rng, init="he"):
@@ -74,11 +99,7 @@ class Dense(Layer):
         return x @ self.w + self.b
 
     def backward(self, dout):
-        """``dw`` is written into one buffer kept for the layer's lifetime:
-        a later backward overwrites the gradients of an earlier one."""
-        if self.dw is None:
-            self.dw = np.empty_like(self.w)
-        np.matmul(self._x.T, dout, out=self.dw)
+        self.dw = FactoredGrad(self._x, dout)
         self.db = dout.sum(axis=0)
         return dout @ self.w.T if self.need_dx else None
 

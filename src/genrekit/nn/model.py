@@ -8,8 +8,9 @@ import math
 import numpy as np
 
 from .. import binfile
-from ..errors import ConfigInvalid, ShapeMismatch
-from .layers import Conv2d, Dense, Dropout, Flatten, MaxPool, ReLU, Sigmoid, _stable_sigmoid
+from ..errors import BadModelHeader, ConfigError, ConfigInvalid, ShapeMismatch
+from .layers import (
+    Conv2d, Dense, Dropout, FactoredGrad, Flatten, MaxPool, ReLU, Sigmoid, _stable_sigmoid)
 
 BCE_CLAMP = 1e-7
 COSINE_EPS = 1e-12
@@ -77,8 +78,8 @@ def _layer_shapes(spec, in_shape):
         return dims, [(dims[0], c, kh, kw), (dims[0],)], (dims[0], h - kh + 1, w - kw + 1)
     if kind == "dropout":
         rate = spec.get("rate")
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise ConfigInvalid(f"dropout layer needs a numeric 'rate', got {rate!r}")
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
+            raise ConfigInvalid(f"dropout layer needs a 'rate' in [0, 1), got {rate!r}")
     elif kind == "flatten":
         return dims, [], (math.prod(in_shape),)
     elif kind not in ("relu", "sigmoid"):
@@ -224,9 +225,14 @@ class ModelGraph:
             cur[...] = arr
 
     def grads(self):
-        return [getattr(layer, "d" + attr) for _, layer, attr in self.param_blocks()]
+        """The gradients of the last backward as arrays, each formed whole."""
+        grads = [getattr(layer, "d" + attr) for _, layer, attr in self.param_blocks()]
+        return [g.rows(0, g.shape[0], np.empty(g.shape)) if isinstance(g, FactoredGrad) else g
+                for g in grads]
 
     def params_and_grads(self):
+        """(parameter, gradient) pairs for an optimizer step; a dense weight
+        gradient is a ``FactoredGrad`` of the cached batch."""
         return [(getattr(layer, attr), getattr(layer, "d" + attr))
                 for _, layer, attr in self.param_blocks()]
 
@@ -291,26 +297,37 @@ def save_model(model, path):
     binfile.write(path, MODEL_MAGIC, *binfile.strings([header]), *params)
 
 
+def _read_header(text):
+    """(input_shape, specs, head), seed and the plan of the graph a
+    checkpoint header declares; ConfigError if it declares no valid graph."""
+    try:
+        header = json.loads(text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"model header is not JSON: {exc}") from exc
+    missing = HEADER_KEYS.difference(header) if isinstance(header, dict) else HEADER_KEYS
+    if missing:
+        raise ConfigInvalid(f"model header lacks {sorted(missing)}")
+    shape = header["input_shape"]
+    if not isinstance(shape, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape):
+        raise ConfigInvalid(f"input_shape must be positive integers, got {shape!r}")
+    if _int_field(header, "seed", "model header") < 0:
+        raise ConfigInvalid("seed must be >= 0")
+    args = (tuple(shape), header["specs"], header["head"])
+    return args, header["seed"], _plan(*args)
+
+
 def load_model(path):
     """The payload must hold exactly the parameters the header declares;
-    that is checked before any weight is allocated."""
+    that is checked before any weight is allocated.  A header that declares
+    no valid graph is a ``BadModelHeader``: a corrupt checkpoint is input
+    data (``DataError``), not configuration."""
     with binfile.reader(path, MODEL_MAGIC) as frame:
         try:
-            header = json.loads(frame.strings(1)[0])
-        except ValueError as exc:
-            raise ConfigInvalid(f"{path}: model header is not JSON: {exc}") from exc
-        missing = HEADER_KEYS.difference(header) if isinstance(header, dict) else HEADER_KEYS
-        if missing:
-            raise ConfigInvalid(f"{path}: model header lacks {sorted(missing)}")
-        shape = header["input_shape"]
-        if not isinstance(shape, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape):
-            raise ConfigInvalid(f"{path}: input_shape must be positive integers, got {shape!r}")
-        if _int_field(header, "seed", "model header") < 0:
-            raise ConfigInvalid(f"{path}: seed must be >= 0")
-        args = (tuple(shape), header["specs"], header["head"])
-        arrays = [frame.array("<f8", block)
-                  for *_, blocks in _plan(*args) for block in blocks]
-    model = ModelGraph(*args, header["seed"])
+            args, seed, plan = _read_header(frame.strings(1)[0])
+        except ConfigError as exc:
+            raise BadModelHeader(f"{path}: {exc}") from exc
+        arrays = [frame.array("<f8", block) for *_, blocks in plan for block in blocks]
+    model = ModelGraph(*args, seed)
     model.set_params(arrays)
     return model

@@ -1,10 +1,20 @@
 """Deterministic SGD-with-momentum and Adam optimizers, updating in place.
 
-Both walk each flat parameter block in chunks of ``CHUNK`` elements through
+Both walk each parameter block in blocks of about ``CHUNK`` elements through
 scratch buffers allocated once, so a step allocates no temporaries the size
-of a block and its working set stays in cache.  Each element sees the same
-floating-point operations, in the same order, as the whole-array formulas
-in the docstrings, so results are bit-identical to them.
+of a parameter block and its working set stays in cache.  A dense weight's
+gradient is a ``FactoredGrad``, ``x.T @ dout`` kept as its two factors:
+each block of its rows is formed into a scratch buffer just before those
+rows are updated, so no weight-sized gradient array exists.  The factors
+are held without copying, so a caller that changes its batch in place
+between backward and step changes the gradient.
+
+Each element sees the same floating-point operations, in the same order, as
+the whole-array formulas in the docstrings.  A block of rows equals those
+rows of the whole GEMM where the width is a multiple of 8 and on every
+dense shape the benchmark trains; elsewhere OpenBLAS may round the last
+``width % 8`` columns differently, within the dot-product error bound
+``2 * batch * eps * (|x|.T @ |dout|)`` that the tests check.
 """
 
 import inspect
@@ -14,7 +24,7 @@ import numpy as np
 
 from ..errors import ConfigInvalid, ShapeMismatch
 
-# 2^14 float64 = 128 KiB per array: the six slices a chunk touches stay in L2
+# 2^14 float64 = 128 KiB per array: the slices a block touches stay in L2
 CHUNK = 1 << 14
 
 
@@ -30,8 +40,40 @@ def _check_blocks(params_and_grads, n_state):
             raise ShapeMismatch(f"parameter block of shape {p.shape} is not C-contiguous")
 
 
-def _chunks(n):
-    return (slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK))
+def _bounds(grad):
+    """Flat offsets that cut ``grad`` into the blocks a step walks: CHUNK
+    elements of an array, or whole rows of a factored gradient.  A factored
+    block holds at least two rows (a one-row tail joins the block before
+    it), because BLAS forms a one-row product with gemv, which rounds
+    differently from the whole GEMM."""
+    if isinstance(grad, np.ndarray):
+        return list(range(0, grad.size, CHUNK)) + [grad.size]
+    rows, width = grad.shape
+    cuts = list(range(0, rows, max(2, CHUNK // width)))
+    if len(cuts) > 1 and rows - cuts[-1] == 1:
+        cuts.pop()
+    return [r * width for r in cuts] + [rows * width]
+
+
+def _scratch_size(params_and_grads):
+    """Elements in the largest block of any gradient."""
+    return max((np.diff(_bounds(g)).max(initial=0) for _, g in params_and_grads), default=0)
+
+
+def _walk(grad, scratch):
+    """(flat slice, gradient values of that slice) for each block of
+    ``grad``; a factored block is formed into ``scratch``."""
+    bounds = _bounds(grad)
+    if isinstance(grad, np.ndarray):
+        gf = grad.reshape(-1)
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield slice(lo, hi), gf[lo:hi]
+        return
+    width = grad.shape[1]
+    for lo, hi in zip(bounds, bounds[1:]):
+        g = scratch[:hi - lo]
+        grad.rows(lo // width, hi // width, g.reshape(-1, width))
+        yield slice(lo, hi), g
 
 
 class SGD:
@@ -41,19 +83,20 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self._velocity = None
-        self._buf = np.empty(CHUNK)
 
     def step(self, params_and_grads):
         if self._velocity is None:
             self._velocity = [np.zeros_like(p) for p, _ in params_and_grads]
+            n = _scratch_size(params_and_grads)
+            self._grad, self._buf = np.empty(n), np.empty(n)
         _check_blocks(params_and_grads, len(self._velocity))
         for vel, (param, grad) in zip(self._velocity, params_and_grads):
-            pf, gf, vf = param.reshape(-1), grad.reshape(-1), vel.reshape(-1)
-            for s in _chunks(pf.size):
+            pf, vf = param.reshape(-1), vel.reshape(-1)
+            for s, g in _walk(grad, self._grad):
                 v = vf[s]
                 step = self._buf[:v.size]
                 v *= self.momentum
-                v += gf[s]
+                v += g
                 np.multiply(v, self.lr, out=step)
                 pf[s] -= step
 
@@ -70,23 +113,22 @@ class Adam:
         self.t = 0
         self._m = None
         self._v = None
-        self._num = np.empty(CHUNK)
-        self._den = np.empty(CHUNK)
 
     def step(self, params_and_grads):
         if self._m is None:
             self._m = [np.zeros_like(p) for p, _ in params_and_grads]
             self._v = [np.zeros_like(p) for p, _ in params_and_grads]
+            n = _scratch_size(params_and_grads)
+            self._grad, self._num, self._den = np.empty(n), np.empty(n), np.empty(n)
         _check_blocks(params_and_grads, len(self._m))
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for mom, sq, (param, grad) in zip(self._m, self._v, params_and_grads):
-            pf, gf = param.reshape(-1), grad.reshape(-1)
-            mf, vf = mom.reshape(-1), sq.reshape(-1)
-            for s in _chunks(pf.size):
-                g, m, v = gf[s], mf[s], vf[s]
+            pf, mf, vf = param.reshape(-1), mom.reshape(-1), sq.reshape(-1)
+            for s, g in _walk(grad, self._grad):
+                m, v = mf[s], vf[s]
                 num, den = self._num[:g.size], self._den[:g.size]
                 m *= b1
                 np.multiply(g, 1.0 - b1, out=num)

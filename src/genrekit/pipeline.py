@@ -47,6 +47,10 @@ class Manifest:
 def _check_types(rec, line_no):
     if not isinstance(rec["id"], str):
         raise ParseError(line_no, f"id must be a string, got {rec['id']!r}")
+    try:  # ids are stored as UTF-8 in feature files; JSON allows a lone surrogate
+        rec["id"].encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(line_no, f"id {rec['id']!r} is not valid Unicode: {exc.reason}") from exc
     for key in _LIST_FIELDS:
         value = rec.get(key, [])
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):

@@ -116,6 +116,24 @@ def test_exit_code_data_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_train_refuses_a_lone_surrogate_id_before_writing(tmp_path, capsys):
+    """Feature files store ids as UTF-8, so such an id is refused while the
+    manifest loads, before any model is trained or written."""
+    ds = tmp_path / "ds"
+    synth_dataset(SynthSpec(n_top_genres=2, subs_per_genre=2, albums=12,
+                            tracks_per_album=1, seed=3), ds)
+    manifest = ds / "manifest.jsonl"
+    first, *rest = manifest.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(first)
+    rec["id"] = "\ud800x"
+    manifest.write_text("\n".join([json.dumps(rec), *rest]) + "\n", encoding="utf-8")
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--taxonomy", str(ds / "taxonomy.txt"),
+                 "--out", str(run)]) == 3
+    assert "line 1" in capsys.readouterr().err
+    assert not run.exists()
+
+
 @pytest.fixture(scope="module")
 def tiny_ds(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_ds")

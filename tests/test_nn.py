@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genrekit.errors import ConfigInvalid, DataError, ShapeMismatch, TruncatedFile
+from genrekit.errors import BadModelHeader, ConfigInvalid, DataError, ShapeMismatch, TruncatedFile
 from genrekit.nn import (
     Adam,
     Dense,
@@ -18,8 +20,9 @@ from genrekit.nn import (
     make_optimizer,
     save_model,
 )
+from genrekit.nn.layers import FactoredGrad
 from genrekit.nn.model import _cosine_grad, _stable_sigmoid
-from genrekit.nn.optim import CHUNK
+from genrekit.nn.optim import CHUNK, _bounds
 
 
 def small_mlp(head="logistic", seed=0, in_dim=6, out=4):
@@ -84,7 +87,7 @@ def test_logistic_head_gradient_closed_form():
     p = model.forward(x)
     _, dz = model.loss_grad(y)
     model.backward(dz)
-    dw = model.head_dense.dw
+    dw = model.grads()[0]
     np.testing.assert_allclose(dw, x.T @ (p - y) / p.size, atol=1e-12)
     np.testing.assert_allclose(model.head_dense.db, ((p - y) / p.size).sum(0),
                                atol=1e-12)
@@ -159,6 +162,104 @@ def test_chunked_optimizers_match_whole_array_formulas(kind):
             reference_adam(expect, grads, state[0], state[1], t, 3e-3)
     for got, want in zip(params, expect):
         np.testing.assert_array_equal(got, want)
+
+
+# (in_dim, width) of every dense layer the benchmark trains: the text MLP
+# (vsm+sem input, two 2048-unit layers, 15-dim cosine head) and the audio
+# CNN's feature layer and 9-label head
+BENCH_DENSE_SHAPES = [(122, 2048), (2048, 2048), (2048, 15), (64, 512), (512, 9)]
+
+
+def _blocked(grad):
+    """The whole gradient assembled from the row blocks an optimizer walks."""
+    out = np.empty(grad.shape)
+    bounds = [b // grad.shape[1] for b in _bounds(grad)]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        assert r1 - r0 >= 2 or grad.shape[0] == 1, "one-row block: BLAS would use gemv"
+        grad.rows(r0, r1, out[r0:r1])
+    return out
+
+
+@st.composite
+def factored_cases(draw):
+    width = draw(st.one_of(st.integers(1, 64),
+                           st.sampled_from([255, 257, 2047, 2048, 2049, CHUNK + 1, CHUNK + 8])))
+    rows_per_block = max(2, CHUNK // width)
+    # whole blocks plus a tail of 0-3 rows, so one-row remainders occur
+    in_dim = max(1, draw(st.integers(0, 2)) * rows_per_block + draw(st.integers(0, 3)))
+    return draw(st.integers(1, 64)), in_dim, width, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_cases())
+def test_factored_row_blocks_equal_the_whole_gemm(case):
+    """Bit-identical where the width is a multiple of 8.  Elsewhere OpenBLAS
+    may round the last ``width % 8`` columns of a row block differently from
+    the whole product; both sums then lie within the dot-product error
+    bound, so they differ by at most ``2 * batch * eps * (|x|.T @ |dout|)``."""
+    batch, in_dim, width, seed = case
+    rng = np.random.default_rng(seed)
+    x, dout = rng.normal(size=(batch, in_dim)), rng.normal(size=(batch, width))
+    got, want = _blocked(FactoredGrad(x, dout)), x.T @ dout
+    if width % 8 == 0:
+        np.testing.assert_array_equal(got, want)
+    else:
+        bound = 2 * batch * np.finfo(float).eps * (np.abs(x).T @ np.abs(dout))
+        assert (np.abs(got - want) <= bound).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BENCH_DENSE_SHAPES), st.integers(1, 64), st.integers(0, 2**31))
+def test_factored_row_blocks_are_bit_identical_on_the_benchmark_shapes(shape, batch, seed):
+    rng = np.random.default_rng(seed)
+    x, dout = rng.normal(size=(batch, shape[0])), rng.normal(size=(batch, shape[1]))
+    np.testing.assert_array_equal(_blocked(FactoredGrad(x, dout)), x.T @ dout)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_factored_steps_match_materialized_gradients(kind):
+    """Three steps on an MLP whose first weight walks several row blocks and
+    a folded one-row tail (33 rows of width 2048) end bit-identical to the
+    whole-array formulas applied to gradients formed by one GEMM each."""
+    specs = [{"kind": "dense", "out": 2048}, {"kind": "relu"},
+             {"kind": "dense", "out": 24}, {"kind": "relu"}]
+    model = ModelGraph((33,), specs, {"kind": "cosine", "dim": 5}, seed=4)
+    expect = model.get_params()
+    state = [[np.zeros_like(p) for p in expect] for _ in range(2)]
+    opt = SGD(lr=0.05, momentum=0.9) if kind == "sgd" else Adam(lr=3e-3)
+    rng = np.random.default_rng(8)
+    for t in range(1, 4):
+        model.set_params(expect)
+        model.forward(rng.normal(size=(16, 33)), train=True)
+        _, dz = model.loss_grad(rng.normal(size=(16, 5)))
+        model.backward(dz)
+        grads = model.grads()
+        opt.step(model.params_and_grads())
+        if kind == "sgd":
+            reference_sgd(expect, grads, state[0], 0.05, 0.9)
+        else:
+            reference_adam(expect, grads, state[0], state[1], t, 3e-3)
+        for got, want in zip(model.get_params(), expect):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_dense_backward_and_adam_step_allocate_no_weight_gradient():
+    """Beyond Adam's two moments, backward plus a step of a 2048x2048 layer
+    allocates less than a quarter of the weights: no ``dw`` array exists."""
+    rng = np.random.default_rng(21)
+    layer = Dense(2048, 2048, rng)
+    x, dout = rng.normal(size=(32, 2048)), rng.normal(size=(32, 2048))
+    layer.forward(x, train=True)
+    opt = Adam()
+    tracemalloc.start()
+    try:
+        layer.backward(dout)
+        opt.step([(layer.w, layer.dw), (layer.b, layer.db)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    moments = 2 * (layer.w.nbytes + layer.b.nbytes)
+    assert peak - moments < layer.w.nbytes / 4
 
 
 @pytest.mark.parametrize("opt", [SGD(lr=0.1), Adam(lr=0.1)], ids=["sgd", "adam"])
@@ -401,19 +502,6 @@ def test_dropout_requires_rng_in_train():
 
 # ------------------------------------------------------------- shape checks
 
-def test_dense_backward_writes_dw_into_one_buffer():
-    rng = np.random.default_rng(21)
-    layer = Dense(5, 3, rng)
-    dws = []
-    for batch in (4, 7):
-        x, dout = rng.normal(size=(batch, 5)), rng.normal(size=(batch, 3))
-        layer.forward(x, train=True)
-        layer.backward(dout)
-        np.testing.assert_array_equal(layer.dw, x.T @ dout)
-        dws.append(layer.dw)
-    assert dws[0] is dws[1]
-
-
 def test_dense_shape_mismatch():
     model = small_mlp()
     with pytest.raises(ShapeMismatch):
@@ -477,7 +565,7 @@ def _write_header(path, blob):
 def test_checkpoint_header_not_json(tmp_path):
     path = tmp_path / "m.munn"
     _write_header(path, b'{"head": {"kind": "log')
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(BadModelHeader, match="m.munn: model header is not JSON"):
         load_model(path)
 
 
@@ -495,7 +583,7 @@ def test_checkpoint_header_missing_key(tmp_path, key):
               "seed": 0}
     del header[key]
     _write_header(path, json.dumps(header).encode("utf-8"))
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(BadModelHeader, match="m.munn"):
         load_model(path)
 
 
@@ -508,13 +596,14 @@ def test_checkpoint_header_missing_key(tmp_path, key):
     pytest.param("head", {"kind": "cosine", "dim": 2.5}, id="head-dim-not-int"),
     pytest.param("input_shape", 6, id="input-shape-not-list"),
     pytest.param("seed", "0", id="seed-not-int"),
+    pytest.param("specs", [{"kind": "dropout", "rate": 1.5}], id="dropout-rate-out-of-range"),
 ])
 def test_checkpoint_header_bad_field(tmp_path, field, value):
     path = tmp_path / "m.munn"
     header = {"input_shape": [6], "specs": [], "head": {"kind": "logistic", "dim": 4},
               "seed": 0, field: value}
     _write_header(path, json.dumps(header).encode("utf-8"))
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(BadModelHeader, match="m.munn"):
         load_model(path)
 
 

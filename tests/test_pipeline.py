@@ -83,6 +83,7 @@ def test_manifest_dangling_path(tmp_path):
 @pytest.mark.parametrize("field", [
     '"id": [1]', '"id": 7', '"labels": "genre00"', '"labels": [1]', '"reviews": 5',
     '"tracks": "x.mucq"', '"enrichment": [null]', '"timbre": {}', '"image_vec": 5',
+    '"id": "\\ud800x"',
 ])
 def test_manifest_rejects_wrong_field_type(tmp_path, field):
     rec = {"id": "a2", "labels": ["X"]}
