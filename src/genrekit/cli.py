@@ -172,7 +172,7 @@ def cmd_report(args):
             try:
                 rows.append(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"{args.rows}: {exc}") from exc
+                raise ParseError(line_no, str(exc), args.rows) from exc
     if not rows:
         raise DataError(f"{args.rows}: no rows")
     print(experiment.report_table(rows), end="")

@@ -124,8 +124,9 @@ class AllLabelsSkipped(DataError):
 # --- pipeline ---
 
 class ParseError(DataError):
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no, message, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
 
 

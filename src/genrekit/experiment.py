@@ -301,6 +301,19 @@ def _shallow_stage(features, setup, factor_model, cfg, in_dropout=0.0, seed_offs
     return model, history, pred
 
 
+class _Rows:
+    """Rows ``index`` of ``array`` without a copy of them: ``rows[key]`` is
+    ``array[index[key]]`` for a slice or an index array, which is all that
+    ``zoo.train`` reads of its inputs besides ``shape``."""
+
+    def __init__(self, array, index):
+        self.array, self.index = array, index
+        self.shape = (len(index),) + array.shape[1:]
+
+    def __getitem__(self, key):
+        return self.array[self.index[key]]
+
+
 def run_experiment(cfg, manifest, tax):
     """Execute one results row. Returns a dict with the evaluation report,
     the table row, the album-level feature matrix, and artifact paths."""
@@ -327,8 +340,9 @@ def run_experiment(cfg, manifest, tax):
         cnn = zoo.build_audio_cnn(cnn_cfg, n_out, n_bins=features.shape[2],
                                   width=cfg.patch_width, seed=cfg.seed)
         histories["track"] = zoo.train(
-            cnn, features[train_tracks], track_targets[train_tracks],
-            features[val_tracks], track_targets[val_tracks], _train_config(cfg))
+            cnn, _Rows(features, np.flatnonzero(train_tracks)), track_targets[train_tracks],
+            _Rows(features, np.flatnonzero(val_tracks)), track_targets[val_tracks],
+            _train_config(cfg))
         feature_matrix = album_features(cnn, features, album_of_track, cfg, len(manifest))
         main_model = cnn
         model, history, pred = _shallow_stage(feature_matrix, setup, factor_model, cfg)

@@ -4,12 +4,13 @@ Convolution is lowered to im2col + GEMM.  A group of samples is unrolled
 into a column matrix, rows (c, i, j) and columns (sample, oh, ow), so that
 forward, the weight gradient and the input gradient are one BLAS matrix
 product each per group.  A group holds as many samples as fit in ``COLS``
-column elements (at least one), and one column buffer is reused for every
-group of a call.  The cap keeps memory bounded: unrolling a whole batch of
-the first audio stage (70x4 filters over 96x96 patches) would copy ~90 MB,
-where the buffer holds one sample's 5.6 MB.  Grouping keeps late stages
-fast: their maps are 3x3 or 1x1, and a GEMM per sample there ran 2-3x
-(3x3) to over 10x (1x1) slower than one many samples wide.
+column elements (at least one), and each thread of a call reuses one
+column buffer for every group it runs.  The cap keeps memory bounded:
+unrolling a whole batch of the first audio stage (70x4 filters over 96x96
+patches) would copy ~90 MB, where the buffer holds one sample's 5.6 MB.
+Grouping keeps late stages fast: their maps are 3x3 or 1x1, and a GEMM per
+sample there ran 2-3x (3x3) to over 10x (1x1) slower than one many
+samples wide.
 
 Pooling reads the input through its ph*pw strided offset views, one per
 window position, and takes an in-place ``np.maximum`` over them: no window
@@ -22,30 +23,125 @@ sample group's conv output is pooled as soon as its GEMM is done, and the
 backward widens the pooled gradient one group at a time, so neither the
 full-resolution map nor its gradient exists for the whole batch (20.6 MB
 each at the first audio stage of a batch of 16).  The fused kernels give
-the unfused chain's numbers bit for bit.  Every kernel is deterministic
-run-to-run.
+the unfused chain's numbers bit for bit.
+
+A conv call with more than one sample group runs its groups on several
+threads at once: one per CPU the process may run on (``taskset -c 0`` gives
+one, and then no thread is started).  The calling thread and the threads of
+a pool, built by the first call that needs it, each take the next group
+whenever they are free.  The caller allocates every large buffer, one slot
+per thread: the column buffer, the GEMM output and the widened pooled
+gradient.  Each group writes its own samples of the output, the argmax and
+dx.  Its dw product (in a ring of 2 slots per thread) and per-sample db
+sums are added to dw and db in group order, so every sum associates as it
+does on one thread and the results do not depend on the thread count.
+Every kernel is deterministic run-to-run.
 """
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 COLS = 1 << 18  # column-buffer elements per sample group (2 MiB of float64)
 
+_workers = None  # threads a call may use, the caller included; None: one per usable CPU
+_pool = None  # the _workers - 1 pool threads, built by the first call that needs them
+_pool_lock = threading.Lock()
 
-def _groups(x, kh, kw):
-    """Yield (s0, s1, cols) per sample group of x; cols (C*kh*kw, n*OH*OW)
-    is a view of one buffer that each group overwrites."""
+
+def _set_workers(n):
+    """Use ``n`` threads per call from now on (None: one per usable CPU).
+    For tests; the pool of the old size is shut down."""
+    global _workers, _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown()
+        _workers, _pool = n, None
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="genrekit-kernels")
+        return _pool
+
+
+def _plan(x, kh, kw):
+    """(K, P, g, slots): rows and columns per sample of the column matrix,
+    samples per group, and the groups run at once (one slot each)."""
+    global _workers
     B, C, H, W = x.shape
     K, P = C * kh * kw, (H - kh + 1) * (W - kw + 1)
     g = max(1, min(B, COLS // (K * P)))
-    buf = np.empty(K * g * P)
-    for s0 in range(0, B, g):
-        s1 = min(B, s0 + g)
-        cols = buf[:K * (s1 - s0) * P].reshape(K, -1)
-        win = sliding_window_view(x[s0:s1], (kh, kw), axis=(2, 3))  # (n, C, OH, OW, KH, KW)
-        np.copyto(cols.reshape(C, kh, kw, s1 - s0, H - kh + 1, W - kw + 1),
-                  win.transpose(1, 4, 5, 0, 2, 3))
-        yield s0, s1, cols
+    if _workers is None:
+        _workers = len(os.sched_getaffinity(0))
+    return K, P, g, min(_workers, -(-B // g))
+
+
+def _unroll(x, s0, s1, kh, kw, buf):
+    """The columns of samples s0:s1, written into the head of ``buf`` and
+    returned as its (C*kh*kw, n*OH*OW) view."""
+    _, C, H, W = x.shape
+    n, oh, ow = s1 - s0, H - kh + 1, W - kw + 1
+    cols = buf[:C * kh * kw * n * oh * ow].reshape(C * kh * kw, -1)
+    win = sliding_window_view(x[s0:s1], (kh, kw), axis=(2, 3))  # (n, C, OH, OW, KH, KW)
+    np.copyto(cols.reshape(C, kh, kw, n, oh, ow), win.transpose(1, 4, 5, 0, 2, 3))
+    return cols
+
+
+def _run_groups(B, g, slots, task, merge=None, window=None):
+    """Run ``task(slot, s0, s1)`` on every sample group s0:s1 on ``slots``
+    threads, the calling thread and pool threads, each of which takes the
+    next group whenever it is free and passes its slot number.  ``merge``
+    gets each task's result in group order, on whichever thread completes
+    the run of finished groups, and a group starts only once the group
+    ``window`` places before it has been merged.  With one slot no pool is
+    used.  The first exception of a task is raised on the calling thread
+    once every thread has stopped."""
+    starts = range(0, B, g)
+    cond = threading.Condition()
+    claimed = merged = 0
+    done = {}  # finished results that wait for an earlier group's merge
+    failure = None
+
+    def work(slot):
+        nonlocal claimed, merged, failure
+        while True:
+            with cond:
+                while (failure is None and claimed < len(starts)
+                       and window is not None and claimed - merged >= window):
+                    cond.wait()
+                if failure is not None or claimed == len(starts):
+                    return
+                s0 = starts[claimed]
+                claimed += 1
+            try:
+                result = task(slot, s0, min(B, s0 + g))
+                if merge is not None:
+                    with cond:
+                        done[s0] = result
+                        while merged < len(starts) and starts[merged] in done:
+                            merge(done.pop(starts[merged]))
+                            merged += 1
+                        cond.notify_all()
+            except BaseException as exc:
+                with cond:
+                    if failure is None:
+                        failure = exc
+                    cond.notify_all()
+                return
+
+    futures = [_executor().submit(work, slot) for slot in range(1, slots)]
+    work(0)
+    for future in futures:  # a pool thread not yet started has nothing left to do
+        if not future.cancel():
+            future.result()
+    if failure is not None:
+        raise failure
 
 
 def conv2d_forward(x, w, b, pool=None, need_arg=False):
@@ -58,21 +154,28 @@ def conv2d_forward(x, w, b, pool=None, need_arg=False):
     """
     F, _, KH, KW = w.shape
     B, OH, OW = x.shape[0], x.shape[2] - KH + 1, x.shape[3] - KW + 1
+    K, P, g, slots = _plan(x, KH, KW)
     wm = w.reshape(F, -1)
     out = np.empty((B, F, OH // pool[0], OW // pool[1]) if pool else (B, F, OH, OW))
-    arg = None
-    for s0, s1, cols in _groups(x, KH, KW):
-        conv = wm @ cols
+    arg = (np.empty(out.shape, np.min_scalar_type(pool[0] * pool[1] - 1))
+           if pool and need_arg else None)
+    cols = np.empty((slots, K * g * P))
+    convs = np.empty((slots, F * g * P))
+
+    def group(k, s0, s1):
+        n = s1 - s0
+        conv = np.matmul(wm, _unroll(x, s0, s1, KH, KW, cols[k]),
+                         out=convs[k, :F * n * P].reshape(F, -1))
         conv += b[:, None]
-        conv = conv.reshape(F, s1 - s0, OH, OW).transpose(1, 0, 2, 3)
+        conv = conv.reshape(F, n, OH, OW).transpose(1, 0, 2, 3)
         if pool is None:
             out[s0:s1] = conv
-            continue
-        out[s0:s1], group_arg = maxpool_forward(conv, *pool, need_arg)
-        if need_arg:
-            if arg is None:
-                arg = np.empty(out.shape, group_arg.dtype)
-            arg[s0:s1] = group_arg
+        elif need_arg:
+            out[s0:s1], arg[s0:s1] = maxpool_forward(conv, *pool, need_arg)
+        else:
+            out[s0:s1] = maxpool_forward(conv, *pool, need_arg)[0]
+
+    _run_groups(B, g, slots, group)
     return out if pool is None else (out, arg)
 
 
@@ -89,6 +192,7 @@ def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
     """
     F, C, KH, KW = w.shape
     B, OH, OW = x.shape[0], x.shape[2] - KH + 1, x.shape[3] - KW + 1
+    K, P, g, slots = _plan(x, KH, KW)
     wm = w.reshape(F, -1)
     dw = np.zeros(wm.shape)
     db = np.zeros(F)
@@ -97,26 +201,44 @@ def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
         whole = dout
     else:
         whole = np.empty((B, 1, OH, OW)) if F == 1 else None
-    for s0, s1, cols in _groups(x, KH, KW):
+    cols = np.empty((slots, K * g * P))
+    window = 2 * slots  # groups a thread may run ahead of the merged ones
+    dws = np.empty((min(window, -(-B // g)), F, K))  # group i's dw product: dws[i % len]
+    dconvs = np.empty((slots, g * F * P)) if pool else None
+
+    def group(k, s0, s1):
         n = s1 - s0
+        group_cols = _unroll(x, s0, s1, KH, KW, cols[k])
+        sums = ()
         if pool is None:
             dconv = dout[s0:s1]
         else:
-            dconv = maxpool_backward(dout[s0:s1], arg[s0:s1], (n, F, OH, OW), *pool)
+            dconv = maxpool_backward(dout[s0:s1], arg[s0:s1], (n, F, OH, OW), *pool,
+                                     out=dconvs[k, :n * F * P].reshape(n, F, OH, OW))
             if whole is None:
-                for i in range(n):
-                    db += dconv[i].reshape(F, -1).sum(axis=1)
+                sums = [dconv[i].reshape(F, -1).sum(axis=1) for i in range(n)]
             else:
                 whole[s0:s1] = dconv
         dout_g = dconv.transpose(1, 0, 2, 3).reshape(F, -1)  # (F, n*OH*OW)
-        dw += dout_g @ cols.T
+        ring = s0 // g % len(dws)
+        np.matmul(dout_g, group_cols.T, out=dws[ring])
         if need_dx:
             # col2im: scatter the column gradient back, one kernel offset at a
             # time; it overwrites the group's columns, which dw has consumed
-            dcols = np.matmul(wm.T, dout_g, out=cols).reshape(C, KH, KW, n, OH, OW)
+            dcols = np.matmul(wm.T, dout_g, out=group_cols).reshape(C, KH, KW, n, OH, OW)
             for i in range(KH):
                 for j in range(KW):
                     dx[s0:s1, :, i:i + OH, j:j + OW] += dcols[:, i, j].transpose(1, 0, 2, 3)
+        return ring, sums
+
+    def merge(result):
+        # every sum adds its terms in group order, as one thread would
+        ring, sums = result
+        np.add(dw, dws[ring], out=dw)
+        for s in sums:
+            np.add(db, s, out=db)
+
+    _run_groups(B, g, slots, group, merge, window)
     if whole is not None:
         db = whole.sum(axis=(0, 2, 3))
     return dx, dw.reshape(w.shape), db
@@ -153,9 +275,14 @@ def maxpool_forward(x, ph, pw, need_arg=True):
     return out, arg
 
 
-def maxpool_backward(dout, arg, x_shape, ph, pw):
-    """Routes gradient to the argmax position of each pooling window."""
-    dx = np.zeros(x_shape)
+def maxpool_backward(dout, arg, x_shape, ph, pw, out=None):
+    """Routes gradient to the argmax position of each pooling window.  With
+    ``out``, a float64 array of ``x_shape``, the gradient is written there."""
+    if out is None:
+        dx = np.zeros(x_shape)
+    else:
+        dx = out
+        dx.fill(0.0)
     hit = np.empty(arg.shape, dtype=bool)
     for k, view in enumerate(_offset_views(dx, ph, pw, *arg.shape[2:])):
         np.equal(arg, k, out=hit)

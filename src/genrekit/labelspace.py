@@ -170,7 +170,6 @@ class FactorModel:
     d: int
     label_factors: np.ndarray  # (n, d)
     singular_values: np.ndarray  # (d,), non-increasing
-    item_factors: np.ndarray | None = None  # (m, d)
 
 
 def _fix_signs(u, vt):

@@ -44,23 +44,26 @@ class Manifest:
         return [it.id for it in self.items]
 
 
-def _check_types(rec, line_no):
+def _check_types(rec, line_no, path):
     if not isinstance(rec["id"], str):
-        raise ParseError(line_no, f"id must be a string, got {rec['id']!r}")
+        raise ParseError(line_no, f"id must be a string, got {rec['id']!r}", path)
     try:  # ids are stored as UTF-8 in feature files; JSON allows a lone surrogate
         rec["id"].encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ParseError(line_no, f"id {rec['id']!r} is not valid Unicode: {exc.reason}") from exc
+        raise ParseError(line_no, f"id {rec['id']!r} is not valid Unicode: {exc.reason}",
+                         path) from exc
     for key in _LIST_FIELDS:
         value = rec.get(key, [])
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ParseError(line_no, f"{key!r} must be a list of strings, got {value!r}")
+            raise ParseError(line_no, f"{key!r} must be a list of strings, got {value!r}", path)
     if not isinstance(rec.get("image_vec"), (str, type(None))):
-        raise ParseError(line_no, f"'image_vec' must be a string, got {rec['image_vec']!r}")
+        raise ParseError(line_no, f"'image_vec' must be a string, got {rec['image_vec']!r}",
+                         path)
 
 
 def load_manifest(path):
-    """JSON-lines manifest; paths are relative to the manifest's directory."""
+    """JSON-lines manifest; paths are relative to the manifest's directory.
+    Errors name the manifest and the line."""
     base_dir = os.path.dirname(os.path.abspath(path))
     items = []
     seen = set()
@@ -71,20 +74,20 @@ def load_manifest(path):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(line_no, str(exc)) from exc
+            raise ParseError(line_no, str(exc), path) from exc
         if not isinstance(rec, dict):
-            raise ParseError(line_no, "record is not an object")
+            raise ParseError(line_no, "record is not an object", path)
         unknown = set(rec) - _ITEM_FIELDS
         if unknown:
-            raise ParseError(line_no, f"unknown fields {sorted(unknown)}")
+            raise ParseError(line_no, f"unknown fields {sorted(unknown)}", path)
         if "id" not in rec:
-            raise ParseError(line_no, "missing id")
-        _check_types(rec, line_no)
+            raise ParseError(line_no, "missing id", path)
+        _check_types(rec, line_no, path)
         if rec["id"] in seen:
-            raise DuplicateId(f"line {line_no}: duplicate id {rec['id']!r}")
+            raise DuplicateId(f"{path}: line {line_no}: duplicate id {rec['id']!r}")
         seen.add(rec["id"])
         if not rec.get("labels"):
-            raise ParseError(line_no, "item has no labels")
+            raise ParseError(line_no, "item has no labels", path)
         item = ManifestItem(
             id=rec["id"],
             labels=rec["labels"],
@@ -96,7 +99,7 @@ def load_manifest(path):
         )
         for rel in item.tracks + item.timbre + ([item.image_vec] if item.image_vec else []):
             if not os.path.exists(os.path.join(base_dir, rel)):
-                raise DanglingPath(f"line {line_no}: missing file {rel!r}")
+                raise DanglingPath(f"{path}: line {line_no}: missing file {rel!r}")
         items.append(item)
     return Manifest(items, base_dir)
 

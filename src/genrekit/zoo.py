@@ -152,7 +152,8 @@ def train(model, x_train, y_train, x_val=None, y_val=None, config=None):
 
     Returns a history list of {epoch, train_loss, val_loss, seconds};
     the model ends up holding the best-validation parameters (or the final
-    ones when no validation set is given).
+    ones when no validation set is given).  Inputs are read only through
+    ``shape`` and indexing by an index array or a slice.
     """
     config = config or TrainConfig()
     optimizer = make_optimizer(config.optimizer)

@@ -116,6 +116,20 @@ def test_exit_code_data_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("lines", [
+    ['{broken'],
+    ['{"id": "a1", "labels": ["genre00"]}', '{"id": "a1", "labels": ["genre00"]}'],
+    ['{"id": "a1", "labels": ["genre00"], "tracks": ["absent.mucq"]}'],
+], ids=["parse-error", "duplicate-id", "dangling-path"])
+def test_manifest_errors_name_the_manifest(tmp_path, capsys, lines):
+    bad = tmp_path / "bad-manifest.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tax = _write(tmp_path / "t.txt", "genre00\n")
+    assert main(["train", "--manifest", str(bad), "--taxonomy", tax,
+                 "--out", str(tmp_path / "run")]) == 3
+    assert f"{bad}: line {len(lines)}" in capsys.readouterr().err
+
+
 def test_train_refuses_a_lone_surrogate_id_before_writing(tmp_path, capsys):
     """Feature files store ids as UTF-8, so such an id is refused while the
     manifest loads, before any model is trained or written."""

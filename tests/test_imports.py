@@ -1,25 +1,69 @@
-"""genrekit needs numpy and nothing else at run time.
+"""genrekit needs numpy and nothing else at run time, and starts no thread
+until a kernel call has work for one.
 
 scipy serves the tests as an oracle only; importing the package or its
 command-line module must not load it.  A fresh interpreter is used because
-the test run itself imports scipy.
+the test run itself imports scipy and runs the kernels.
 """
 
+import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+from genrekit.pipeline import SynthSpec, synth_dataset
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def _fresh(code):
+    return subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
+                          text=True, check=True).stdout.splitlines()
 
 
 def test_import_loads_no_scipy():
-    code = ("import sys, genrekit, genrekit.cli\n"
-            "print(genrekit.__file__)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.splitlines()
+    out = _fresh("import sys, genrekit, genrekit.cli\n"
+                 "print(genrekit.__file__)\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert Path(out[0]).resolve().is_relative_to(SRC)
     assert out[1] == "[]"
+
+
+def test_import_starts_no_thread():
+    assert _fresh("import threading, genrekit, genrekit.cli\n"
+                  "print(threading.active_count())\n") == ["1"]
+
+
+def test_cli_audio_row_exits_and_leaves_no_process(tmp_path):
+    """The kernel pool's threads end with the process that trains the row,
+    and the run leaves no process behind in its process group."""
+    synth_dataset(SynthSpec(n_top_genres=2, subs_per_genre=2, albums=12, tracks_per_album=1,
+                            seed=5, min_frames=60, max_frames=80), tmp_path / "ds")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"modality": "audio", "settings": "low-4x70", "epochs": 1,
+                               "patch_width": 48, "batch_size": 4}), encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "genrekit.cli", "train",
+         "--manifest", str(tmp_path / "ds" / "manifest.jsonl"),
+         "--taxonomy", str(tmp_path / "ds" / "taxonomy.txt"),
+         "--config", str(cfg), "--out", str(tmp_path / "run")],
+        env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=300)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    assert child.returncode == 0, err
+    assert json.loads(out.splitlines()[0])["modality"] == "audio"
+    try:
+        os.killpg(child.pid, 0)
+    except ProcessLookupError:
+        pass
+    else:
+        raise AssertionError("a process of the run is still alive")

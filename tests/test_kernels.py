@@ -1,4 +1,7 @@
 import contextlib
+import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -366,3 +369,127 @@ def test_fused_stage_never_holds_a_full_resolution_map():
     finally:
         tracemalloc.stop()
     assert peak < full_map
+
+
+# ------------------------------------------------- sample groups on worker threads
+
+@contextlib.contextmanager
+def workers(n):
+    """Run with ``n`` threads per kernel call (usable inside Hypothesis)."""
+    kernels._set_workers(n)
+    try:
+        yield
+    finally:
+        kernels._set_workers(None)
+
+
+def conv_outputs(x, w, b, dout, pool, need_dx, need_arg):
+    """Every output of one forward and one backward, fused when ``pool``."""
+    if pool is None:
+        return (conv2d_forward(x, w, b),) + conv2d_backward(x, w, dout, need_dx=need_dx)
+    out, arg = conv2d_forward(x, w, b, pool=pool, need_arg=need_arg)
+    if arg is None:  # the backward needs the argmax of a training forward
+        arg = conv2d_forward(x, w, b, pool=pool, need_arg=True)[1]
+    return (out, arg) + conv2d_backward(x, w, dout, need_dx=need_dx, pool=pool, arg=arg)
+
+
+def assert_same_outputs(got, want):
+    for g, e in zip(got, want, strict=True):
+        if e is None:
+            assert g is None
+        else:
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
+
+
+@st.composite
+def threaded_cases(draw):
+    B, C, F = draw(st.integers(1, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    H, W = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    KH, KW = draw(st.integers(1, H)), draw(st.integers(1, W))
+    pool = draw(st.none() | st.tuples(st.integers(1, H - KH + 1), st.integers(1, W - KW + 1)))
+    cols = draw(st.sampled_from([1, 7, 40, 150, 1 << 18]))
+    return (B, C, H, W, F, KH, KW, pool, cols, draw(st.booleans()), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(threaded_cases())
+def test_conv_outputs_do_not_depend_on_the_worker_count(case):
+    """Groups run on 1, 2 or 3 threads give the same bits: outputs, argmax
+    and dx are written per group, and dw and db are summed in group order."""
+    B, C, H, W, F, KH, KW, pool, cols, need_dx, need_arg, seed = case
+    rng = np.random.default_rng(seed)
+    x, w, b = random_case(rng, B=B, C=C, H=H, W=W, F=F, KH=KH, KW=KW)
+    x[rng.integers(0, B), :, :rng.integers(1, H + 1)] = 0.0  # ties for the pool
+    oh, ow = H - KH + 1, W - KW + 1
+    dout = rng.normal(size=(B, F) + ((oh // pool[0], ow // pool[1]) if pool else (oh, ow)))
+    with column_cap(cols):
+        with workers(1):
+            want = conv_outputs(x, w, b, dout, pool, need_dx, need_arg)
+        for n in (2, 3):
+            with workers(n):
+                assert_same_outputs(conv_outputs(x, w, b, dout, pool, need_dx, need_arg), want)
+
+
+def test_three_workers_under_fast_thread_switching():
+    """More threads than this machine may have cores, switching as often as
+    the interpreter allows: a lost or reordered update would change a bit."""
+    rng = np.random.default_rng(16)
+    x, w, b = random_case(rng, B=9, C=2, H=8, W=9, F=3, KH=3, KW=2)
+    dout = rng.normal(size=(9, 3, 3, 2))
+    args = (x, w, b, dout, (2, 4), True, True)
+    with column_cap(100), workers(1):
+        want = conv_outputs(*args)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with column_cap(100), workers(3):
+            for _ in range(5):
+                assert_same_outputs(conv_outputs(*args), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_single_group_runs_inline_and_builds_no_pool():
+    rng = np.random.default_rng(17)
+    x, w, b = random_case(rng, B=3)
+    threads = threading.active_count()
+    with workers(2):
+        conv2d_backward(x, w, conv2d_forward(x, w, b))
+        assert kernels._pool is None
+        assert threading.active_count() == threads
+        with column_cap(1):  # one sample per group: three groups
+            conv2d_forward(x, w, b)
+        assert kernels._pool is not None
+    assert kernels._pool is None
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_call", [0, 3, 5])
+@pytest.mark.parametrize("name", ["maxpool_forward", "maxpool_backward"])
+def test_a_failing_group_raises_its_own_error_and_the_next_call_works(monkeypatch, name,
+                                                                     failing_call):
+    """Six groups on two threads; the group that fails runs on either one."""
+    rng = np.random.default_rng(18)
+    x, w, b = random_case(rng, B=6, C=2, H=8, W=9, F=3, KH=3, KW=2)
+    dout = rng.normal(size=(6, 3, 3, 2))
+    with column_cap(1), workers(1):
+        want = conv_outputs(x, w, b, dout, (2, 4), True, True)
+    pool_kernel = getattr(kernels, name)
+    calls = itertools.count()
+
+    def failing(*args, **kwargs):
+        if next(calls) == failing_call:
+            raise Boom(failing_call)
+        return pool_kernel(*args, **kwargs)
+
+    with column_cap(1), workers(2):
+        monkeypatch.setattr(kernels, name, failing)
+        with pytest.raises(Boom):
+            conv_outputs(x, w, b, dout, (2, 4), True, True)
+        monkeypatch.setattr(kernels, name, pool_kernel)
+        assert_same_outputs(conv_outputs(x, w, b, dout, (2, 4), True, True), want)
