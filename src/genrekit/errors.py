@@ -124,9 +124,8 @@ class AllLabelsSkipped(DataError):
 # --- pipeline ---
 
 class ParseError(DataError):
-    def __init__(self, line_no, message, path=None):
-        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, line_no, message, path):
+        super().__init__(f"{path}: line {line_no}: {message}")
         self.line_no = line_no
 
 

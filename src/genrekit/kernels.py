@@ -26,8 +26,11 @@ each at the first audio stage of a batch of 16).  The fused kernels give
 the unfused chain's numbers bit for bit.
 
 A conv call with more than one sample group runs its groups on several
-threads at once: one per CPU the process may run on (``taskset -c 0`` gives
-one, and then no thread is started).  The calling thread and the threads of
+threads at once: one per CPU the process may run on, but at most
+``MAX_WORKERS`` (``taskset -c 0`` gives one, and then no thread is started).
+The cap keeps the per-call scratch independent of the host: each thread
+holds a slot of ~7 MB at the first audio stage, and two is the only count
+whose speed and peak memory have been measured.  The calling thread and the threads of
 a pool, built by the first call that needs it, each take the next group
 whenever they are free.  The caller allocates every large buffer, one slot
 per thread: the column buffer, the GEMM output and the widened pooled
@@ -46,15 +49,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 COLS = 1 << 18  # column-buffer elements per sample group (2 MiB of float64)
+MAX_WORKERS = 2  # threads a call may use by default, the caller included
 
-_workers = None  # threads a call may use, the caller included; None: one per usable CPU
+_workers = None  # threads a call may use; None: one per usable CPU, at most MAX_WORKERS
 _pool = None  # the _workers - 1 pool threads, built by the first call that needs them
 _pool_lock = threading.Lock()
 
 
 def _set_workers(n):
-    """Use ``n`` threads per call from now on (None: one per usable CPU).
-    For tests; the pool of the old size is shut down."""
+    """Use ``n`` threads per call from now on (None: one per usable CPU, at
+    most ``MAX_WORKERS``).  For tests; the pool of the old size is shut down."""
     global _workers, _pool
     with _pool_lock:
         if _pool is not None:
@@ -78,7 +82,7 @@ def _plan(x, kh, kw):
     K, P = C * kh * kw, (H - kh + 1) * (W - kw + 1)
     g = max(1, min(B, COLS // (K * P)))
     if _workers is None:
-        _workers = len(os.sched_getaffinity(0))
+        _workers = min(MAX_WORKERS, len(os.sched_getaffinity(0)))
     return K, P, g, min(_workers, -(-B // g))
 
 

@@ -383,6 +383,16 @@ def workers(n):
         kernels._set_workers(None)
 
 
+def test_fused_stage_memory_does_not_grow_with_the_cpu_count(monkeypatch):
+    """On a host with many CPUs a call still uses at most MAX_WORKERS
+    threads, so the fused stage stays below one full-resolution map."""
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(16)))
+    with workers(None):
+        x = np.empty((16, 1, 96, 96))
+        assert kernels._plan(x, 70, 4)[3] == kernels.MAX_WORKERS
+        test_fused_stage_never_holds_a_full_resolution_map()
+
+
 def conv_outputs(x, w, b, dout, pool, need_dx, need_arg):
     """Every output of one forward and one backward, fused when ``pool``."""
     if pool is None:
