@@ -30,12 +30,12 @@ threads at once: one per CPU the process may run on, but at most
 ``MAX_WORKERS`` (``taskset -c 0`` gives one, and then no thread is started).
 The cap keeps the per-call scratch independent of the host: each thread
 holds a slot of ~7 MB at the first audio stage, and two is the only count
-whose speed and peak memory have been measured.  The calling thread and the threads of
-a pool, built by the first call that needs it, each take the next group
-whenever they are free.  The caller allocates every large buffer, one slot
-per thread: the column buffer, the GEMM output and the widened pooled
-gradient.  Each group writes its own samples of the output, the argmax and
-dx.  Its dw product (in a ring of 2 slots per thread) and per-sample db
+whose speed and peak memory have been measured.  The calling thread and
+the threads of a pool, built by the first call that needs it, each take the
+next group whenever they are free.  The caller allocates every large
+buffer, one slot per thread: the column buffer, the GEMM output and the
+widened pooled gradient.  Each group writes its own samples of the output,
+the argmax and dx.  Its dw product (in a ring of 2 slots per thread) and per-sample db
 sums are added to dw and db in group order, so every sum associates as it
 does on one thread and the results do not depend on the thread count.
 Every kernel is deterministic run-to-run.
