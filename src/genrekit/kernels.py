@@ -1,4 +1,5 @@
-"""Hot numeric kernels: valid 2-D convolution and max-pooling.
+"""Hot numeric kernels: valid 2-D convolution, max-pooling and the wide
+dense product, and the thread pool they share with the optimizers.
 
 Convolution is lowered to im2col + GEMM.  A group of samples is unrolled
 into a column matrix, rows (c, i, j) and columns (sample, oh, ow), so that
@@ -35,10 +36,18 @@ the threads of a pool, built by the first call that needs it, each take the
 next group whenever they are free.  The caller allocates every large
 buffer, one slot per thread: the column buffer, the GEMM output and the
 widened pooled gradient.  Each group writes its own samples of the output,
-the argmax and dx.  Its dw product (in a ring of 2 slots per thread) and per-sample db
-sums are added to dw and db in group order, so every sum associates as it
-does on one thread and the results do not depend on the thread count.
-Every kernel is deterministic run-to-run.
+the argmax and dx.  Its dw product (in a ring of 2 slots per thread) and
+per-sample db sums are added to dw and db in group order, so every sum
+associates as it does on one thread and the results do not depend on the
+thread count.  Every kernel is deterministic run-to-run.
+
+Three callers share the one pool and its thread count (``_threads``) and
+run on it through ``_run_groups``: the conv kernels, ``matmul`` and the
+optimizer steps of ``nn.optim``, which update the spans of their parameter
+blocks on it.  ``matmul`` runs a product whose right-hand column halves
+hold at least ``SPLIT / 2`` elements each as those two halves, written
+into one output; each half gives the bits of those columns of the whole
+product, where a split of the batch rows would not.
 """
 
 import os
@@ -50,6 +59,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 COLS = 1 << 18  # column-buffer elements per sample group (2 MiB of float64)
 MAX_WORKERS = 2  # threads a call may use by default, the caller included
+SPLIT = 1 << 20  # matmul splits b where each column half holds at least SPLIT/2 elements
 
 _workers = None  # threads a call may use; None: one per usable CPU, at most MAX_WORKERS
 _pool = None  # the _workers - 1 pool threads, built by the first call that needs them
@@ -74,16 +84,22 @@ def _executor():
         return _pool
 
 
+def _threads(groups):
+    """Threads to run ``groups`` groups on: one per usable CPU, at most
+    ``MAX_WORKERS`` and at most one per group."""
+    global _workers
+    if _workers is None:
+        _workers = min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(_workers, groups)
+
+
 def _plan(x, kh, kw):
     """(K, P, g, slots): rows and columns per sample of the column matrix,
     samples per group, and the groups run at once (one slot each)."""
-    global _workers
     B, C, H, W = x.shape
     K, P = C * kh * kw, (H - kh + 1) * (W - kw + 1)
     g = max(1, min(B, COLS // (K * P)))
-    if _workers is None:
-        _workers = min(MAX_WORKERS, len(os.sched_getaffinity(0)))
-    return K, P, g, min(_workers, -(-B // g))
+    return K, P, g, _threads(-(-B // g))
 
 
 def _unroll(x, s0, s1, kh, kw, buf):
@@ -98,14 +114,14 @@ def _unroll(x, s0, s1, kh, kw, buf):
 
 
 def _run_groups(B, g, slots, task, merge=None, window=None):
-    """Run ``task(slot, s0, s1)`` on every sample group s0:s1 on ``slots``
-    threads, the calling thread and pool threads, each of which takes the
-    next group whenever it is free and passes its slot number.  ``merge``
-    gets each task's result in group order, on whichever thread completes
-    the run of finished groups, and a group starts only once the group
-    ``window`` places before it has been merged.  With one slot no pool is
-    used.  The first exception of a task is raised on the calling thread
-    once every thread has stopped."""
+    """Run ``task(slot, s0, s1)`` on every group s0:s1 of ``range(B)``, g
+    at a time, on ``slots`` threads: the calling thread and pool threads,
+    each of which takes the next group whenever it is free and passes its
+    slot number.  ``merge`` gets each task's result in group order, on
+    whichever thread completes the run of finished groups, and a group
+    starts only once the group ``window`` places before it has been merged.
+    With one slot no pool is used.  The first exception of a task is raised
+    on the calling thread once every thread has stopped."""
     starts = range(0, B, g)
     cond = threading.Condition()
     claimed = merged = 0
@@ -146,6 +162,30 @@ def _run_groups(B, g, slots, task, merge=None, window=None):
             future.result()
     if failure is not None:
         raise failure
+
+
+def matmul(a, b):
+    """``a @ b`` of 2-D float64 arrays.  Where each column half of ``b``
+    holds at least SPLIT / 2 elements, the halves run on two threads, each
+    writing its columns of one output, and give the bits of the whole
+    product.  The first half is a multiple of 8 columns wide, so that the
+    GEMM's last ``n % 8`` columns are the same in both.  The size keeps
+    each half on the whole product's BLAS path: a one-row ``a`` is a gemv
+    either way, and from two rows on each half is over 10^6 multiply-adds,
+    above which OpenBLAS no longer uses its small-matrix kernel (that
+    kernel gave a half of a 2048x15 product other bits)."""
+    n = b.shape[1]
+    half = -(-n // 16) * 8
+    slots = _threads(2) if 2 * b.shape[0] * (n - half) >= SPLIT else 1
+    if slots == 1:
+        return a @ b
+    out = np.empty((a.shape[0], n))
+
+    def half_product(_, c0, c1):
+        np.matmul(a, b[:, c0:c1], out=out[:, c0:c1])
+
+    _run_groups(n, half, slots, half_product)
+    return out
 
 
 def conv2d_forward(x, w, b, pool=None, need_arg=False):

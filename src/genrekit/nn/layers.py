@@ -1,7 +1,7 @@
 """Layer menu for the fixed-topology network engine.
 
-Everything runs in double precision.  Convolution and pooling delegate to
-the kernels module.
+Everything runs in double precision.  Convolution, pooling and the dense
+products delegate to the kernels module.
 """
 
 import numpy as np
@@ -74,7 +74,9 @@ class FactoredGrad:
 class Dense(Layer):
     """``backward`` leaves ``dw`` as a ``FactoredGrad`` of the cached batch,
     which the optimizer step forms one block of rows at a time; changing
-    the batch in place before the step changes the gradient."""
+    the batch in place before the step changes the gradient.  ``x @ w`` and
+    ``dout @ w.T`` go through ``kernels.matmul``, which runs a wide weight's
+    two column halves on two threads."""
 
     params = ("w", "b")
 
@@ -96,12 +98,14 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeMismatch(f"dense expects (B, {self.w.shape[0]}), got {x.shape}")
         self._x = x
-        return x @ self.w + self.b
+        out = kernels.matmul(x, self.w)
+        out += self.b
+        return out
 
     def backward(self, dout):
         self.dw = FactoredGrad(self._x, dout)
         self.db = dout.sum(axis=0)
-        return dout @ self.w.T if self.need_dx else None
+        return kernels.matmul(dout, self.w.T) if self.need_dx else None
 
 
 class Conv2d(Layer):

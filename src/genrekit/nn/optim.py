@@ -1,20 +1,33 @@
 """Deterministic SGD-with-momentum and Adam optimizers, updating in place.
 
-Both walk each parameter block in blocks of about ``CHUNK`` elements through
-scratch buffers allocated once, so a step allocates no temporaries the size
-of a parameter block and its working set stays in cache.  A dense weight's
-gradient is a ``FactoredGrad``, ``x.T @ dout`` kept as its two factors:
-each block of its rows is formed into a scratch buffer just before those
-rows are updated, so no weight-sized gradient array exists.  The factors
-are held without copying, so a caller that changes its batch in place
-between backward and step changes the gradient.
+A step cuts each parameter block into spans of about ``SPAN`` elements and
+updates them on the calling thread and the kernels pool's threads
+(``kernels._run_groups``); each thread takes the next span whenever it is
+free and works in its own slot of scratch buffers allocated once, one span
+long, so a step allocates no temporaries the size of a parameter block.  A
+dense weight's gradient is a ``FactoredGrad``, ``x.T @ dout`` kept as its
+two factors: the rows of a span are formed into its slot, in blocks of
+about ``CHUNK`` elements (``_bounds``), just before they are updated, so no
+weight-sized gradient array exists.  The factors are held without copying,
+so a caller that changes its batch in place between backward and step
+changes the gradient.
+
+The GEMM blocks and the update spans differ in size on purpose.  The
+blocks keep the row cuts that fix the gradient's bits.  The spans are
+larger because an Adam update is ~13 numpy calls per span, and a thread
+holds the interpreter lock between them: one Adam step on a 2048x2048
+weight ran 0.7x as fast on two threads as on one over spans of 2^13
+elements, 1.2-1.3x over 2^14 and 1.6-1.8x over 2^16 (2^15 to 2^18 all
+gave 1.4-1.85x, 2^16 the shortest step; shared 2-core x86_64 VM, one
+BLAS thread).
 
 Each element sees the same floating-point operations, in the same order, as
-the whole-array formulas in the docstrings.  A block of rows equals those
-rows of the whole GEMM where the width is a multiple of 8 and on every
-dense shape the benchmark trains; elsewhere OpenBLAS may round the last
-``width % 8`` columns differently, within the dot-product error bound
-``2 * batch * eps * (|x|.T @ |dout|)`` that the tests check.
+the whole-array formulas in the docstrings, whatever the thread count.  A
+block of rows equals those rows of the whole GEMM where the width is a
+multiple of 8 and on every dense shape the benchmark trains; elsewhere
+OpenBLAS may round the last ``width % 8`` columns differently, within the
+dot-product error bound ``2 * batch * eps * (|x|.T @ |dout|)`` that the
+tests check.
 """
 
 import inspect
@@ -22,10 +35,13 @@ import sys
 
 import numpy as np
 
+from .. import kernels
 from ..errors import ConfigInvalid, ShapeMismatch
 
-# 2^14 float64 = 128 KiB per array: the slices a block touches stay in L2
+# 2^14 float64 = 128 KiB: the rows of a factored gradient one GEMM forms
 CHUNK = 1 << 14
+# 2^16 elements: what a thread updates each time it takes the next span
+SPAN = 1 << 16
 
 
 def _check_blocks(params_and_grads, n_state):
@@ -41,13 +57,13 @@ def _check_blocks(params_and_grads, n_state):
 
 
 def _bounds(grad):
-    """Flat offsets that cut ``grad`` into the blocks a step walks: CHUNK
-    elements of an array, or whole rows of a factored gradient.  A factored
-    block holds at least two rows (a one-row tail joins the block before
-    it), because BLAS forms a one-row product with gemv, which rounds
-    differently from the whole GEMM."""
+    """Flat offsets that cut ``grad`` into blocks: SPAN elements of an
+    array, or whole rows of a factored gradient, about CHUNK elements, each
+    formed by one GEMM.  A factored block holds at least two rows (a
+    one-row tail joins the block before it), because BLAS forms a one-row
+    product with gemv, which rounds differently from the whole GEMM."""
     if isinstance(grad, np.ndarray):
-        return list(range(0, grad.size, CHUNK)) + [grad.size]
+        return list(range(0, grad.size, SPAN)) + [grad.size]
     rows, width = grad.shape
     cuts = list(range(0, rows, max(2, CHUNK // width)))
     if len(cuts) > 1 and rows - cuts[-1] == 1:
@@ -55,25 +71,48 @@ def _bounds(grad):
     return [r * width for r in cuts] + [rows * width]
 
 
-def _scratch_size(params_and_grads):
-    """Elements in the largest block of any gradient."""
-    return max((np.diff(_bounds(g)).max(initial=0) for _, g in params_and_grads), default=0)
-
-
-def _walk(grad, scratch):
-    """(flat slice, gradient values of that slice) for each block of
-    ``grad``; a factored block is formed into ``scratch``."""
+def _spans(grad):
+    """The spans a step updates, each the list of bounds of its blocks:
+    consecutive blocks of at most SPAN elements in all, or one larger block."""
     bounds = _bounds(grad)
-    if isinstance(grad, np.ndarray):
-        gf = grad.reshape(-1)
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield slice(lo, hi), gf[lo:hi]
-        return
-    width = grad.shape[1]
+    spans = []
     for lo, hi in zip(bounds, bounds[1:]):
-        g = scratch[:hi - lo]
-        grad.rows(lo // width, hi // width, g.reshape(-1, width))
-        yield slice(lo, hi), g
+        if spans and hi - spans[-1][0] <= SPAN:
+            spans[-1].append(hi)
+        else:
+            spans.append([lo, hi])
+    return spans
+
+
+def _scratch(params_and_grads, n):
+    """``n`` buffers of the largest span per thread a step may use."""
+    spans = [s for _, g in params_and_grads for s in _spans(g)]
+    size = max((s[-1] - s[0] for s in spans), default=0)
+    return np.empty((kernels._threads(len(spans)), n, size))
+
+
+def _walk(params_and_grads, scratch, update):
+    """Call ``update(k, s, g, tmp)`` once for every span of every block k,
+    on ``len(scratch)`` threads: ``s`` is the span's flat slice, ``g`` its
+    gradient values and ``tmp`` the thread's scratch buffers but the first,
+    which holds the gradient of a factored span."""
+    tasks = [(k, cuts) for k, (_, grad) in enumerate(params_and_grads)
+             for cuts in _spans(grad)]
+
+    def run(slot, i, _):
+        k, cuts = tasks[i]
+        grad = params_and_grads[k][1]
+        lo, hi = cuts[0], cuts[-1]
+        buf = scratch[slot, :, :hi - lo]
+        if isinstance(grad, np.ndarray):
+            g = grad.reshape(-1)[lo:hi]
+        else:
+            g, width = buf[0], grad.shape[1]
+            for r0, r1 in zip(cuts, cuts[1:]):
+                grad.rows(r0 // width, r1 // width, g[r0 - lo:r1 - lo].reshape(-1, width))
+        update(k, slice(lo, hi), g, buf[1:])
+
+    kernels._run_groups(len(tasks), 1, len(scratch), run)
 
 
 class SGD:
@@ -87,18 +126,18 @@ class SGD:
     def step(self, params_and_grads):
         if self._velocity is None:
             self._velocity = [np.zeros_like(p) for p, _ in params_and_grads]
-            n = _scratch_size(params_and_grads)
-            self._grad, self._buf = np.empty(n), np.empty(n)
+            self._scratch = _scratch(params_and_grads, 2)
         _check_blocks(params_and_grads, len(self._velocity))
-        for vel, (param, grad) in zip(self._velocity, params_and_grads):
-            pf, vf = param.reshape(-1), vel.reshape(-1)
-            for s, g in _walk(grad, self._grad):
-                v = vf[s]
-                step = self._buf[:v.size]
-                v *= self.momentum
-                v += g
-                np.multiply(v, self.lr, out=step)
-                pf[s] -= step
+
+        def update(k, s, g, tmp):
+            v = self._velocity[k].reshape(-1)[s]
+            step = tmp[0]
+            v *= self.momentum
+            v += g
+            np.multiply(v, self.lr, out=step)
+            params_and_grads[k][0].reshape(-1)[s] -= step
+
+        _walk(params_and_grads, self._scratch, update)
 
 
 class Adam:
@@ -118,38 +157,39 @@ class Adam:
         if self._m is None:
             self._m = [np.zeros_like(p) for p, _ in params_and_grads]
             self._v = [np.zeros_like(p) for p, _ in params_and_grads]
-            n = _scratch_size(params_and_grads)
-            self._grad, self._num, self._den = np.empty(n), np.empty(n), np.empty(n)
+            self._scratch = _scratch(params_and_grads, 3)
         _check_blocks(params_and_grads, len(self._m))
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for mom, sq, (param, grad) in zip(self._m, self._v, params_and_grads):
-            pf, mf, vf = param.reshape(-1), mom.reshape(-1), sq.reshape(-1)
-            for s, g in _walk(grad, self._grad):
-                m, v = mf[s], vf[s]
-                num, den = self._num[:g.size], self._den[:g.size]
-                m *= b1
-                np.multiply(g, 1.0 - b1, out=num)
-                m += num
-                v *= b2
-                np.multiply(g, 1.0 - b2, out=num)
-                num *= g
-                v += num
-                np.divide(m, bc1, out=num)
-                num *= self.lr
-                np.divide(v, bc2, out=den)
-                np.sqrt(den, out=den)
-                den += self.eps
-                num /= den
-                pf[s] -= num
+
+        def update(k, s, g, tmp):
+            m, v = self._m[k].reshape(-1)[s], self._v[k].reshape(-1)[s]
+            num, den = tmp
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=num)
+            m += num
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=num)
+            num *= g
+            v += num
+            np.divide(m, bc1, out=num)
+            num *= self.lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            params_and_grads[k][0].reshape(-1)[s] -= num
+
+        _walk(params_and_grads, self._scratch, update)
 
 
 def make_optimizer(config):
     """config: {"kind": "sgd"|"adam", ...hyperparameters}.  ConfigInvalid for
-    an unknown kind or name, a value that is not a finite real number, or
-    an lr <= 0."""
+    an unknown kind or name, a value that is not a finite real number, an
+    lr or eps <= 0, or a beta1, beta2 or momentum outside [0, 1): each of
+    these would train NaN or divergent weights without an error."""
     if not isinstance(config, dict):
         raise ConfigInvalid(f"optimizer must be an object, got {config!r}")
     hyper = dict(config)
@@ -165,6 +205,10 @@ def make_optimizer(config):
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not abs(value) <= sys.float_info.max):
             raise ConfigInvalid(f"optimizer {name} must be a finite number, got {value!r}")
-    if hyper.get("lr", 1.0) <= 0:
-        raise ConfigInvalid(f"optimizer lr must be > 0, got {hyper['lr']!r}")
+    for name in ("lr", "eps"):
+        if hyper.get(name, 1.0) <= 0:
+            raise ConfigInvalid(f"optimizer {name} must be > 0, got {hyper[name]!r}")
+    for name in ("beta1", "beta2", "momentum"):
+        if not 0 <= hyper.get(name, 0) < 1:
+            raise ConfigInvalid(f"optimizer {name} must be in [0, 1), got {hyper[name]!r}")
     return cls(**hyper)

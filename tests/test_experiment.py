@@ -68,6 +68,9 @@ def test_config_from_json(tmp_path):
     pytest.param("optimizer", {"kind": "adam", "eps": float("nan")}, id="optimizer-eps-nan"),
     pytest.param("optimizer", {"kind": "adam", "lr": 10 ** 400}, id="optimizer-lr-huge"),
     pytest.param("optimizer", {"kind": "adam", "lr": 0}, id="optimizer-lr-zero"),
+    pytest.param("optimizer", {"kind": "adam", "eps": 0}, id="optimizer-eps-zero"),
+    pytest.param("optimizer", {"kind": "adam", "beta1": 1.0}, id="optimizer-beta1-one"),
+    pytest.param("optimizer", {"kind": "sgd", "momentum": 1}, id="optimizer-momentum-one"),
     pytest.param("optimizer", "adam", id="optimizer-str"),
     pytest.param("modality", ["image"], id="modality-list"),
     pytest.param("target", None, id="target-none"),

@@ -503,3 +503,29 @@ def test_a_failing_group_raises_its_own_error_and_the_next_call_works(monkeypatc
             conv_outputs(x, w, b, dout, (2, 4), True, True)
         monkeypatch.setattr(kernels, name, pool_kernel)
         assert_same_outputs(conv_outputs(x, w, b, dout, (2, 4), True, True), want)
+
+
+# --------------------------------------------------------- split dense product
+
+@pytest.mark.parametrize("shape", [(512, 4096), (4096, 512), (1025, 1024), (65536, 32)])
+def test_matmul_halves_equal_the_whole_product(shape):
+    """Column halves on two threads give the bits of ``a @ b``, as ``b``
+    and as ``b.T``, from one row to batches past the small-matrix sizes."""
+    rng = np.random.default_rng(19)
+    b = rng.normal(size=shape)
+    for rows in (1, 2, 3, 5, 8, 33, 64):
+        a, at = rng.normal(size=(rows, shape[0])), rng.normal(size=(rows, shape[1]))
+        with workers(2):
+            got = kernels.matmul(a, b), kernels.matmul(at, b.T)
+            assert kernels._pool is not None
+        np.testing.assert_array_equal(got[0], a @ b)
+        np.testing.assert_array_equal(got[1], at @ b.T)
+
+
+@pytest.mark.parametrize("shape", [(122, 2048), (2048, 15), (1024, 1031), (65536, 17)])
+def test_matmul_keeps_narrow_halves_whole(shape):
+    """A half below SPLIT / 2 elements could take OpenBLAS's small-matrix
+    kernel or gemv, which round differently: such a product is not split."""
+    with workers(2):
+        kernels.matmul(np.ones((2, shape[0])), np.ones(shape))
+        assert kernels._pool is None

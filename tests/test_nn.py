@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_kernels import workers
+
+from genrekit import kernels
 from genrekit.errors import BadModelHeader, ConfigInvalid, DataError, ShapeMismatch, TruncatedFile
 from genrekit.nn import (
     Adam,
@@ -22,7 +26,7 @@ from genrekit.nn import (
 )
 from genrekit.nn.layers import FactoredGrad
 from genrekit.nn.model import _cosine_grad, _stable_sigmoid
-from genrekit.nn.optim import CHUNK, _bounds
+from genrekit.nn.optim import CHUNK, SPAN, _bounds
 
 
 def small_mlp(head="logistic", seed=0, in_dim=6, out=4):
@@ -122,6 +126,25 @@ def test_make_optimizer_dispatch():
         make_optimizer({"kind": "nope"})
 
 
+@pytest.mark.parametrize("config", [
+    {"kind": "adam", "eps": 0}, {"kind": "adam", "eps": -1e-8},
+    {"kind": "adam", "beta1": 1.0}, {"kind": "adam", "beta1": -1.0},
+    {"kind": "adam", "beta2": 1}, {"kind": "adam", "beta2": -0.5},
+    {"kind": "sgd", "momentum": 1.0}, {"kind": "sgd", "momentum": -0.1},
+], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+def test_make_optimizer_refuses_values_that_train_nan(config):
+    """Each of these values turned weights into NaN without an error."""
+    name = [k for k in config if k != "kind"][0]
+    with pytest.raises(ConfigInvalid, match=name):
+        make_optimizer(config)
+
+
+def test_make_optimizer_accepts_the_closed_ends():
+    opt = make_optimizer({"kind": "adam", "beta1": 0, "beta2": 0.0, "eps": 1e-300})
+    assert (opt.beta1, opt.beta2, opt.eps) == (0, 0.0, 1e-300)
+    assert make_optimizer({"kind": "sgd", "momentum": 0}).momentum == 0
+
+
 def reference_sgd(params, grads, velocity, lr, momentum):
     for p, g, v in zip(params, grads, velocity):
         v *= momentum
@@ -142,10 +165,10 @@ def reference_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8)
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_chunked_optimizers_match_whole_array_formulas(kind):
-    """Blocks shorter than, equal to and not a multiple of the chunk size
+    """Blocks shorter than, equal to and not a multiple of the span size
     end bit-identical to the whole-array update after three steps."""
     rng = np.random.default_rng(21)
-    shapes = [(1,), (CHUNK,), (2 * CHUNK + 3,), (3, 5)]
+    shapes = [(1,), (SPAN,), (2 * SPAN + 3,), (3, 5)]
     params = [rng.normal(size=s) for s in shapes]
     expect = [p.copy() for p in params]
     state = [[np.zeros(s) for s in shapes] for _ in range(2)]
@@ -245,21 +268,96 @@ def test_factored_steps_match_materialized_gradients(kind):
 
 def test_dense_backward_and_adam_step_allocate_no_weight_gradient():
     """Beyond Adam's two moments, backward plus a step of a 2048x2048 layer
-    allocates less than a quarter of the weights: no ``dw`` array exists."""
+    on one or two threads allocates less than a quarter of the weights: no
+    ``dw`` array exists, and each thread's scratch is one span of three
+    buffers."""
     rng = np.random.default_rng(21)
     layer = Dense(2048, 2048, rng)
     x, dout = rng.normal(size=(32, 2048)), rng.normal(size=(32, 2048))
-    layer.forward(x, train=True)
-    opt = Adam()
-    tracemalloc.start()
+    for n in (1, 2):
+        opt = Adam()
+        with workers(n):
+            layer.forward(x, train=True)
+            tracemalloc.start()
+            try:
+                layer.backward(dout)
+                opt.step([(layer.w, layer.dw), (layer.b, layer.db)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert opt._scratch.shape == (n, 3, SPAN)
+        moments = 2 * (layer.w.nbytes + layer.b.nbytes)
+        assert peak - moments < layer.w.nbytes / 4
+
+
+@st.composite
+def step_cases(draw):
+    width = draw(st.sampled_from([15, 255, 2048, CHUNK + 1]))
+    # 1-9 row blocks, and with a one-row tail that joins the last block
+    rows = draw(st.integers(1, 9)) * max(2, CHUNK // width) + draw(st.integers(0, 1))
+    return (draw(st.sampled_from(["sgd", "adam"])), draw(st.integers(1, 16)), rows, width,
+            draw(st.integers(0, 2**31)))
+
+
+def stepped_params(kind, batch, rows, width, seed):
+    """Parameters after two steps of a fresh optimizer on a factored weight
+    gradient, an ndarray gradient of the same shape and a bias gradient."""
+    rng = np.random.default_rng(seed)
+    params = [rng.normal(size=(rows, width)) for _ in range(2)] + [rng.normal(size=width)]
+    opt = SGD(lr=0.05, momentum=0.9) if kind == "sgd" else Adam(lr=3e-3)
+    for _ in range(2):
+        x, dout = rng.normal(size=(batch, rows)), rng.normal(size=(batch, width))
+        grads = [FactoredGrad(x, dout), rng.normal(size=(rows, width)), dout.sum(axis=0)]
+        opt.step(list(zip(params, grads)))
+    return params
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_cases())
+def test_optimizer_steps_do_not_depend_on_the_worker_count(case):
+    """Spans updated on 1, 2 or 3 threads give the same bits: each element's
+    update and each factored block's GEMM are the same on any thread."""
+    with workers(1):
+        want = stepped_params(*case)
+    for n in (2, 3):
+        with workers(n):
+            for got, expect in zip(stepped_params(*case), want, strict=True):
+                np.testing.assert_array_equal(got, expect)
+
+
+def test_optimizer_steps_under_fast_thread_switching():
+    """More threads than this machine may have cores, switching as often as
+    the interpreter allows: a lost or doubled span update would change a bit."""
+    case = ("adam", 8, 9 * 8 + 1, 2048, 23)
+    with workers(1):
+        want = stepped_params(*case)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        layer.backward(dout)
-        opt.step([(layer.w, layer.dw), (layer.b, layer.db)])
-        peak = tracemalloc.get_traced_memory()[1]
+        with workers(3):
+            for _ in range(3):
+                for got, expect in zip(stepped_params(*case), want, strict=True):
+                    np.testing.assert_array_equal(got, expect)
     finally:
-        tracemalloc.stop()
-    moments = 2 * (layer.w.nbytes + layer.b.nbytes)
-    assert peak - moments < layer.w.nbytes / 4
+        sys.setswitchinterval(interval)
+
+
+def test_wide_dense_products_do_not_depend_on_the_worker_count():
+    """A 2048x2048 layer's ``x @ w`` and ``dout @ w.T`` run as two column
+    halves on two threads equal the one-thread products at batches 1-64."""
+    rng = np.random.default_rng(24)
+    layer = Dense(2048, 2048, rng)
+    layer.b = rng.normal(size=2048)
+    assert layer.w.size >= kernels.SPLIT
+    for batch in range(1, 65):
+        x, dout = rng.normal(size=(batch, 2048)), rng.normal(size=(batch, 2048))
+        with workers(1):
+            want = layer.forward(x, train=True), layer.backward(dout)
+        with workers(2):
+            got = layer.forward(x, train=True), layer.backward(dout)
+            assert kernels._pool is not None
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("opt", [SGD(lr=0.1), Adam(lr=0.1)], ids=["sgd", "adam"])
