@@ -81,7 +81,7 @@ class Reader:
     """Reads a file's frame front to back."""
 
     def __init__(self, path, data):
-        self.path, self.magic, self._data, self._pos = path, data[:4], data, 4
+        self.path, self._data, self._pos = path, data, 4
 
     def _take(self, n):
         if n > len(self._data) - self._pos:
@@ -112,16 +112,16 @@ class Reader:
 
 
 @contextmanager
-def reader(path, *magics):
-    """A Reader over `path`, whose magic must be one of `magics`; leaving the
-    block checks every byte was read."""
+def reader(path, magic):
+    """A Reader over `path`, whose magic must be `magic`; leaving the block
+    checks every byte was read."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise IoError(f"{path}: cannot read: {exc}") from exc
-    if data[:4] not in magics:
-        raise BadMagic(f"{path}: magic {data[:4]!r} is not {' or '.join(map(repr, magics))}")
+    if data[:4] != magic:
+        raise BadMagic(f"{path}: magic {data[:4]!r} is not {magic!r}")
     frame = Reader(path, data)
     yield frame
     if frame._pos != len(data):

@@ -107,10 +107,6 @@ class MissingModality(DataError):
     pass
 
 
-class IdCountMismatch(DataError):
-    pass
-
-
 # --- metrics ---
 
 class KOutOfRange(ConfigError):

@@ -1,15 +1,25 @@
-"""Experiment orchestration: per-modality pipelines, the results-table grid,
-and the text report.
+"""Experiment orchestration: the modality table, the one flow that runs a
+results row, the results-table grid, and the text report.
 
-Each experiment runs features → model → train → predict → metrics for one
-modality/target/settings row.  Vocabulary, standardization statistics, and
-the label factorization are fitted on train+validation items only; test
-items never contribute their labels to anything but the final metrics.
+``MODALITIES`` is all that a modality contributes to a row: its valid
+settings, its letter in a fusion row, and the function that builds its
+model inputs.  Audio's inputs are standardized patches, one per track, with
+each track's album position; those of text, timbre, image and fusion (of
+other rows' feature files) are one row per album.
+
+``run_experiment`` runs every row the same way.  An audio row first trains
+its track CNN and averages its penultimate activations per album.  Then
+every row trains one album-level model (the text MLP, or a shallow model),
+predicts the test split and scores it.  Standardization statistics are
+fitted on the training split, the vocabulary and the label factorization
+on train+validation; test items never contribute their labels to anything
+but the final metrics.
 """
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,14 +28,6 @@ from .errors import ConfigError, ConfigInvalid, DataError
 from .nn import make_optimizer, save_model
 from .pipeline import split
 
-AUDIO_SETTINGS = ("low-3x3", "high-3x3", "low-4x96", "high-4x96", "low-4x70", "high-4x70")
-_SETTINGS_BY_MODALITY = {
-    "audio": AUDIO_SETTINGS,
-    "timbre": ("timbre-mlp",),
-    "text": ("vsm", "vsm+sem"),
-    "image": ("ingested",),
-    "fusion": ("mlp",),
-}
 FUSION_COSINE_DROPOUT = 0.7
 # integer fields and their least valid value
 _INT_FIELD_MINIMA = {"d": 1, "seed": 0, "min_label_support": 1, "patch_width": 1,
@@ -56,11 +58,11 @@ class ExperimentConfig:
         for name in ("modality", "target", "settings", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigInvalid(f"{name} must be a string, got {getattr(self, name)!r}")
-        if self.modality not in _SETTINGS_BY_MODALITY:
+        if self.modality not in MODALITIES:
             raise ConfigError(f"unknown modality {self.modality!r}")
         if self.target not in ("logistic", "cosine"):
             raise ConfigError(f"unknown target {self.target!r}")
-        if self.settings not in _SETTINGS_BY_MODALITY[self.modality]:
+        if self.settings not in MODALITIES[self.modality].settings:
             raise ConfigError(
                 f"settings {self.settings!r} invalid for modality {self.modality!r}")
         for name, least in _INT_FIELD_MINIMA.items():
@@ -170,7 +172,7 @@ def text_features(manifest, cfg, trainval_positions):
     return textfeat.tfidf(corpus, vocab).matrix, vocab
 
 
-def timbre_features(manifest):
+def _timbre_inputs(cfg, manifest, setup):
     out = []
     for it in manifest.items:
         stats = [audiofeat.timbre_stats(audiofeat.load_timbre(manifest.resolve(p)))
@@ -178,10 +180,10 @@ def timbre_features(manifest):
         if not stats:
             raise DataError(f"item {it.id!r} has no timbre matrices")
         out.append(np.mean(stats, axis=0))
-    return np.asarray(out)
+    return _column_standardize(np.asarray(out), setup.idx["train"]), None
 
 
-def image_features(manifest):
+def _image_inputs(cfg, manifest, setup):
     out = []
     for it in manifest.items:
         if not it.image_vec:
@@ -192,7 +194,7 @@ def image_features(manifest):
             raise DataError(f"{path}: image vector ids {ids!r}, expected one row "
                             f"for album {it.id!r}")
         out.append(mat[0])
-    return np.asarray(out)
+    return _column_standardize(np.asarray(out), setup.idx["train"]), None
 
 
 def audio_patches(manifest, cfg):
@@ -218,23 +220,52 @@ def _column_standardize(features, train_positions):
     return (features - mean) / np.maximum(std, 1e-6)
 
 
+def _audio_inputs(cfg, manifest, setup):
+    patches, album_of_track = audio_patches(manifest, cfg)
+    stats = audiofeat.fit_bin_stats(patches[np.isin(album_of_track, setup.idx["train"])])
+    return audiofeat.standardize(patches, stats)[:, None, :, :], album_of_track
+
+
+def _text_inputs(cfg, manifest, setup):
+    return text_features(manifest, cfg, setup.idx["train"] + setup.idx["val"])[0], None
+
+
+def _fusion_inputs(cfg, manifest, setup):
+    vectors = {}
+    for mod in cfg.fusion_modalities:
+        path = cfg.feature_files.get(mod)
+        if path is None:
+            raise ConfigError(f"fusion needs feature_files[{mod!r}]")
+        mat, ids = zoo.load_feature_vectors(path)
+        if ids != manifest.ids():
+            raise DataError(f"feature file {path!r} ids do not match the manifest")
+        vectors[mod] = mat
+    return zoo.fuse(vectors, cfg.fusion_modalities).matrix, None
+
+
+@dataclass(frozen=True)
+class Modality:
+    """What a modality contributes to a results row."""
+
+    settings: tuple  # the valid values of a row's `settings`
+    letter: str | None  # its block in a fusion row (zoo.MODALITY_ORDER), if any
+    # (cfg, manifest, setup) -> (model inputs, album position per track or None)
+    inputs: Callable
+
+
+MODALITIES = {
+    "audio": Modality(("low-3x3", "high-3x3", "low-4x96", "high-4x96", "low-4x70",
+                       "high-4x70"), "A", _audio_inputs),
+    "timbre": Modality(("timbre-mlp",), None, _timbre_inputs),
+    "text": Modality(("vsm", "vsm+sem"), "T", _text_inputs),
+    "image": Modality(("ingested",), "I", _image_inputs),
+    "fusion": Modality(("mlp",), None, _fusion_inputs),
+}
+
+
 def model_inputs(cfg, manifest, setup):
-    """Model inputs of a single-modality row, with statistics fitted on its
-    training split (the vocabulary on train+validation).  Audio gives
-    standardized patches, one per track, and each track's album position;
-    the other modalities give one row per album and None."""
-    tr, va = setup.idx["train"], setup.idx["val"]
-    if cfg.modality == "audio":
-        patches, album_of_track = audio_patches(manifest, cfg)
-        stats = audiofeat.fit_bin_stats(patches[np.isin(album_of_track, tr)])
-        return audiofeat.standardize(patches, stats)[:, None, :, :], album_of_track
-    if cfg.modality == "text":
-        return text_features(manifest, cfg, tr + va)[0], None
-    if cfg.modality == "timbre":
-        return _column_standardize(timbre_features(manifest), tr), None
-    if cfg.modality == "image":
-        return _column_standardize(image_features(manifest), tr), None
-    raise ConfigError(f"modality {cfg.modality!r} has no single-modality inputs")
+    """A row's model inputs, from its modality's entry in ``MODALITIES``."""
+    return MODALITIES[cfg.modality].inputs(cfg, manifest, setup)
 
 
 def album_features(model, inputs, album_of_track, cfg, n_albums):
@@ -249,24 +280,11 @@ def album_features(model, inputs, album_of_track, cfg, n_albums):
     return np.asarray([album_vecs[a] for a in range(n_albums)])
 
 
-def _fused_features(cfg, manifest):
-    vectors = {}
-    for mod in cfg.fusion_modalities:
-        path = cfg.feature_files.get(mod)
-        if path is None:
-            raise ConfigError(f"fusion needs feature_files[{mod!r}]")
-        mat, ids = zoo.load_feature_vectors(path)
-        if ids != manifest.ids():
-            raise DataError(f"feature file {path!r} ids do not match the manifest")
-        vectors[mod] = mat
-    return zoo.fuse(vectors, cfg.fusion_modalities).matrix
-
-
 # ------------------------------------------------------------ orchestration
 
-def _train_config(cfg, seed_offset=0):
+def _train_config(cfg, seed):
     return zoo.TrainConfig(batch_size=cfg.batch_size, epochs=cfg.epochs,
-                           patience=cfg.patience, seed=cfg.seed + seed_offset,
+                           patience=cfg.patience, seed=seed,
                            optimizer=dict(cfg.optimizer))
 
 
@@ -274,31 +292,6 @@ def _targets(setup, factor_model, cfg, positions):
     if cfg.target == "logistic":
         return setup.truth[positions]
     return _item_factor_targets(setup, factor_model, positions)
-
-
-def _prediction_matrix(model, x_test, setup, factor_model, cfg):
-    outputs = zoo.predict(model, x_test)
-    if cfg.target == "logistic":
-        scores = outputs
-    else:
-        scores, _ = metrics.scores_from_cosine_head(outputs, factor_model.label_factors)
-    truth = setup.truth[setup.idx["test"]]
-    return metrics.PredictionMatrix(scores, truth)
-
-
-def _shallow_stage(features, setup, factor_model, cfg, in_dropout=0.0, seed_offset=1):
-    """Train a shallow model on per-item vectors and predict the test split."""
-    n_out = (len(setup.kept_labels) if cfg.target == "logistic"
-             else factor_model.label_factors.shape[1])
-    model = zoo.build_shallow(features.shape[1], n_out, cfg.target,
-                              dropout=in_dropout, seed=cfg.seed + seed_offset)
-    tr, va = setup.idx["train"], setup.idx["val"]
-    history = zoo.train(
-        model, features[tr], _targets(setup, factor_model, cfg, tr),
-        features[va], _targets(setup, factor_model, cfg, va),
-        _train_config(cfg, seed_offset))
-    pred = _prediction_matrix(model, features[setup.idx["test"]], setup, factor_model, cfg)
-    return model, history, pred
 
 
 class _Rows:
@@ -323,61 +316,51 @@ def run_experiment(cfg, manifest, tax):
     factor_model = fit_factors(setup, cfg.d) if cfg.target == "cosine" else None
     n_out = (len(setup.kept_labels) if cfg.target == "logistic"
              else factor_model.label_factors.shape[1])
-    tr, va = setup.idx["train"], setup.idx["val"]
-    histories = {}
-    if cfg.modality == "fusion":
-        features, album_of_track = _fused_features(cfg, manifest), None
-    else:
-        features, album_of_track = model_inputs(cfg, manifest, setup)
+    tr, va, te = setup.idx["train"], setup.idx["val"], setup.idx["test"]
+    x, album_of_track = model_inputs(cfg, manifest, setup)
+    seed, histories, row_model = cfg.seed, {}, None
 
-    if cfg.modality == "audio":
+    if album_of_track is not None:  # audio: a track CNN, its features averaged per album
         width_name, shape_name = cfg.settings.split("-")
         # tracks inherit album targets
         track_targets = _targets(setup, factor_model, cfg, album_of_track.tolist())
         train_tracks, val_tracks = np.isin(album_of_track, tr), np.isin(album_of_track, va)
         cnn_cfg = zoo.AudioCnnConfig(filter_shape=shape_name, width=width_name,
                                      head=cfg.target)
-        cnn = zoo.build_audio_cnn(cnn_cfg, n_out, n_bins=features.shape[2],
-                                  width=cfg.patch_width, seed=cfg.seed)
+        row_model = zoo.build_audio_cnn(cnn_cfg, n_out, n_bins=x.shape[2],
+                                        width=cfg.patch_width, seed=seed)
         histories["track"] = zoo.train(
-            cnn, _Rows(features, np.flatnonzero(train_tracks)), track_targets[train_tracks],
-            _Rows(features, np.flatnonzero(val_tracks)), track_targets[val_tracks],
-            _train_config(cfg))
-        feature_matrix = album_features(cnn, features, album_of_track, cfg, len(manifest))
-        main_model = cnn
-        model, history, pred = _shallow_stage(feature_matrix, setup, factor_model, cfg)
-        histories["album"] = history
-        save_model(cnn, os.path.join(cfg.out_dir, "track_model.munn"))
+            row_model, _Rows(x, np.flatnonzero(train_tracks)), track_targets[train_tracks],
+            _Rows(x, np.flatnonzero(val_tracks)), track_targets[val_tracks],
+            _train_config(cfg, seed))
+        save_model(row_model, os.path.join(cfg.out_dir, "track_model.munn"))
+        x = album_features(row_model, x, album_of_track, cfg, len(manifest))
+        seed += 1
 
-    elif cfg.modality == "text":
-        model = zoo.build_text_mlp(n_out, cfg.target, in_dim=features.shape[1],
-                                   seed=cfg.seed)
-        histories["main"] = zoo.train(
-            model, features[tr], _targets(setup, factor_model, cfg, tr),
-            features[va], _targets(setup, factor_model, cfg, va),
-            _train_config(cfg))
-        feature_matrix = zoo.extract_features(model, features)
-        pred = _prediction_matrix(model, features[setup.idx["test"]],
-                                  setup, factor_model, cfg)
-        main_model = model
-
-    else:  # timbre, image, fusion: one shallow model on per-album vectors
+    if cfg.modality == "text":
+        model = zoo.build_text_mlp(n_out, cfg.target, in_dim=x.shape[1], seed=seed)
+    else:  # a shallow model, whose penultimate layer is its input
         dropout = (FUSION_COSINE_DROPOUT
                    if cfg.modality == "fusion" and cfg.target == "cosine" else 0.0)
-        model, history, pred = _shallow_stage(features, setup, factor_model, cfg,
-                                              in_dropout=dropout, seed_offset=0)
-        histories["main"] = history
-        feature_matrix = features
-        main_model = model
+        model = zoo.build_shallow(x.shape[1], n_out, cfg.target, dropout=dropout, seed=seed)
+    histories["main" if album_of_track is None else "album"] = zoo.train(
+        model, x[tr], _targets(setup, factor_model, cfg, tr),
+        x[va], _targets(setup, factor_model, cfg, va), _train_config(cfg, seed))
+    feature_matrix = zoo.extract_features(model, x) if cfg.modality == "text" else x
+    outputs = zoo.predict(model, x[te])
+    if cfg.target == "cosine":
+        outputs, _ = metrics.scores_from_cosine_head(outputs, factor_model.label_factors)
+    pred = metrics.PredictionMatrix(outputs, setup.truth[te])
 
     report = metrics.evaluate(pred)
-    main_history = histories["track"] if cfg.modality == "audio" else histories["main"]
-    epoch_seconds = float(np.mean([h["seconds"] for h in main_history])) if main_history else 0.0
+    # an audio row reports its track CNN's size and epoch time
+    row_history = next(iter(histories.values()))
+    epoch_seconds = float(np.mean([h["seconds"] for h in row_history])) if row_history else 0.0
     row = {
         "modality": cfg.modality,
         "target": cfg.target,
         "settings": cfg.settings,
-        "params": main_model.n_params(),
+        "params": (row_model or model).n_params(),
         "epoch_seconds": epoch_seconds,
         "auc": report.auc_mean,
         "c@1": report.coverage.get(1),
@@ -392,7 +375,7 @@ def run_experiment(cfg, manifest, tax):
     paths["features"] = os.path.join(cfg.out_dir, "features.mufv")
     zoo.save_feature_vectors(feature_matrix, manifest.ids(), paths["features"])
     paths["predictions"] = os.path.join(cfg.out_dir, "predictions.mufv")
-    test_ids = [manifest.ids()[i] for i in setup.idx["test"]]
+    test_ids = [manifest.ids()[i] for i in te]
     zoo.save_feature_vectors(pred.scores, test_ids, paths["predictions"])
     paths["report"] = os.path.join(cfg.out_dir, "report.json")
     binfile.write_text(paths["report"], report.to_json())
@@ -440,21 +423,20 @@ def run_grid(manifest, tax, out_root="runs", seed=42, grid=None):
         raise ConfigInvalid(f"a grid must be a non-empty list of row configs, got {grid!r}")
     rows = []
     results = []
-    best = {}  # modality letter -> (auc, features path)
-    letter = {"audio": "A", "text": "T", "image": "I"}
+    best = {}  # fusion letter -> (auc, features path)
     for spec in grid:
         cfg = ExperimentConfig.from_dict(spec)
         result = run_experiment(cfg, manifest, tax)
         rows.append(result["row"])
         results.append(result)
-        mod = letter.get(cfg.modality)
+        mod = MODALITIES[cfg.modality].letter
         if mod and (mod not in best or result["row"]["auc"] > best[mod][0]):
             best[mod] = (result["row"]["auc"], result["paths"]["features"])
-    if all(m in best for m in ("A", "T", "I")):
+    if all(m in best for m in zoo.MODALITY_ORDER):
         for target in ("logistic", "cosine"):
             cfg = ExperimentConfig(
                 modality="fusion", target=target, settings="mlp",
-                feature_files={m: best[m][1] for m in ("A", "T", "I")},
+                feature_files={m: best[m][1] for m in zoo.MODALITY_ORDER},
                 seed=seed, epochs=200, patience=20,
                 optimizer={"kind": "adam", "lr": 1e-2},
                 out_dir=os.path.join(out_root, f"fusion_{target}_ATI"))

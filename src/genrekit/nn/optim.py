@@ -115,12 +115,27 @@ def _walk(params_and_grads, scratch, update):
     kernels._run_groups(len(tasks), 1, len(scratch), run)
 
 
+def _checked(name, value, fraction=False):
+    """``value`` if it is a finite number > 0, or in [0, 1) for a fraction;
+    ConfigInvalid otherwise, since any other value trains NaN or divergent
+    weights without an error."""
+    # comparing keeps an int too large for a float from overflowing
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigInvalid(f"optimizer {name} must be a finite number, got {value!r}")
+    if fraction and not 0 <= value < 1:
+        raise ConfigInvalid(f"optimizer {name} must be in [0, 1), got {value!r}")
+    if not fraction and not value > 0:
+        raise ConfigInvalid(f"optimizer {name} must be > 0, got {value!r}")
+    return value
+
+
 class SGD:
-    """``v = v*momentum + g; p -= lr*v``."""
+    """``v = v*momentum + g; p -= lr*v``, with lr > 0 and momentum in [0, 1)."""
 
     def __init__(self, lr=1e-2, momentum=0.0):
-        self.lr = lr
-        self.momentum = momentum
+        self.lr = _checked("lr", lr)
+        self.momentum = _checked("momentum", momentum, fraction=True)
         self._velocity = None
 
     def step(self, params_and_grads):
@@ -142,13 +157,14 @@ class SGD:
 
 class Adam:
     """``m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
-    p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)``, with ``bc = 1 - b**t``."""
+    p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)``, with ``bc = 1 - b**t``, lr and
+    eps > 0, and beta1 and beta2 in [0, 1)."""
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr = _checked("lr", lr)
+        self.beta1 = _checked("beta1", beta1, fraction=True)
+        self.beta2 = _checked("beta2", beta2, fraction=True)
+        self.eps = _checked("eps", eps)
         self.t = 0
         self._m = None
         self._v = None
@@ -187,9 +203,7 @@ class Adam:
 
 def make_optimizer(config):
     """config: {"kind": "sgd"|"adam", ...hyperparameters}.  ConfigInvalid for
-    an unknown kind or name, a value that is not a finite real number, an
-    lr or eps <= 0, or a beta1, beta2 or momentum outside [0, 1): each of
-    these would train NaN or divergent weights without an error."""
+    an unknown kind or name; the class checks the values."""
     if not isinstance(config, dict):
         raise ConfigInvalid(f"optimizer must be an object, got {config!r}")
     hyper = dict(config)
@@ -200,15 +214,4 @@ def make_optimizer(config):
     unknown = set(hyper) - set(inspect.signature(cls).parameters)
     if unknown:
         raise ConfigInvalid(f"optimizer {kind!r} has no hyperparameters {sorted(unknown)}")
-    for name, value in hyper.items():
-        # comparing keeps an int too large for a float from overflowing
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not abs(value) <= sys.float_info.max):
-            raise ConfigInvalid(f"optimizer {name} must be a finite number, got {value!r}")
-    for name in ("lr", "eps"):
-        if hyper.get(name, 1.0) <= 0:
-            raise ConfigInvalid(f"optimizer {name} must be > 0, got {hyper[name]!r}")
-    for name in ("beta1", "beta2", "momentum"):
-        if not 0 <= hyper.get(name, 0) < 1:
-            raise ConfigInvalid(f"optimizer {name} must be in [0, 1), got {hyper[name]!r}")
     return cls(**hyper)

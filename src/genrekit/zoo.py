@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binfile
-from .errors import (
-    ConfigInvalid,
-    EmptyAlbum,
-    IdCountMismatch,
-    MissingModality,
-    NonFiniteLoss,
-)
+from .errors import ConfigInvalid, EmptyAlbum, MissingModality, NonFiniteLoss
 from .nn import ModelGraph, make_optimizer
 
 LOW_WIDTHS = (64, 128, 128, 64)
@@ -283,7 +277,6 @@ def fuse(modality_vectors, selection=MODALITY_ORDER):
 # ------------------------------------------------------------- serialization
 
 FEATURE_MAGIC = b"MUFI"
-LEGACY_FEATURE_MAGIC = b"MUFV"  # read, never written: ids in a line-based .ids sidecar
 
 
 def save_feature_vectors(matrix, item_ids, path):
@@ -297,13 +290,7 @@ def save_feature_vectors(matrix, item_ids, path):
 
 
 def load_feature_vectors(path):
-    """(matrix, item ids); a legacy MUFV file's ids come from its .ids sidecar."""
-    with binfile.reader(path, FEATURE_MAGIC, LEGACY_FEATURE_MAGIC) as frame:
+    """(matrix, item ids)."""
+    with binfile.reader(path, FEATURE_MAGIC) as frame:
         m, dim = frame.fields(2)
-        matrix = frame.array("<f8", (m, dim)).copy()
-        if frame.magic == FEATURE_MAGIC:
-            return matrix, frame.strings(m)
-    item_ids = [ln.strip() for ln in binfile.read_text(f"{path}.ids").split("\n") if ln.strip()]
-    if len(item_ids) != m:
-        raise IdCountMismatch(f"{path}: {m} rows but {len(item_ids)} ids in its .ids sidecar")
-    return matrix, item_ids
+        return frame.array("<f8", (m, dim)).copy(), frame.strings(m)

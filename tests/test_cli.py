@@ -9,6 +9,7 @@ from genrekit.experiment import ExperimentConfig, prepare_labels, run_experiment
 from genrekit.labelspace import load_taxonomy
 from genrekit.pipeline import SynthSpec, load_manifest, save_manifest, synth_dataset
 from genrekit.zoo import save_feature_vectors
+from test_experiment import fusion_feature_files
 
 
 def test_synth_and_factorize(tmp_path, capsys):
@@ -178,7 +179,7 @@ ROW = {"modality": "text", "target": "logistic", "settings": "vsm", "params": 1,
     ("train-out-under-file", 3), ("synth-out-under-file", 3),
     ("synth-negative-seed", 2), ("synth-zero-albums", 2), ("infogain-top-zero", 2),
     ("infogain-top-negative", 2), ("fuse-unknown-modality", 2),
-    ("fuse-repeated-modality", 2),
+    ("fuse-repeated-modality", 2), ("extract-unknown-modality", 2),
 ])
 def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
     missing = str(tmp_path / "absent")
@@ -239,6 +240,8 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
                                   "--out", str(tmp_path / "f.mufv")],
         "fuse-repeated-modality": ["fuse", f"A={good_preds}", f"A={good_preds}",
                                    "--out", str(tmp_path / "f.mufv")],
+        "extract-unknown-modality": ["extract", *tiny_ds, "--config", _write(
+            tmp_path / "video.json", '{"modality": "video"}'), "--model", missing],
     }[case]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
@@ -267,8 +270,15 @@ def test_option_a_subcommand_does_not_read_is_refused(tmp_path, capsys, case):
     ({"modality": "timbre", "settings": "timbre-mlp", "epochs": 3}, "model.munn"),
     ({"modality": "audio", "settings": "low-4x70", "epochs": 1, "patch_width": 48,
       "batch_size": 8}, "track_model.munn"),
+    ({"modality": "fusion", "settings": "mlp", "target": "cosine", "epochs": 2,
+      "fusion_modalities": ["T", "I"]}, "model.munn"),
 ])
 def test_extract_matches_the_rows_features(tmp_path, capsys, tiny_ds, row, checkpoint):
+    """A fusion row's features are its fused inputs, the penultimate layer
+    of its shallow model."""
+    if row["modality"] == "fusion":
+        row = {**row, "feature_files": fusion_feature_files(
+            load_manifest(tiny_ds[1]).ids(), tmp_path)}
     cfg = _write(tmp_path / "cfg.json", json.dumps(row))
     run = tmp_path / "run"
     assert main(["train", *tiny_ds, "--config", cfg, "--out", str(run)]) == 0

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -171,12 +172,54 @@ def test_run_experiment_cosine_head(small_dataset, tmp_path):
     assert (scores <= 1.0 + 1e-9).all() and (scores >= -1.0 - 1e-9).all()
 
 
-def test_run_experiment_report_rerun_identical(small_dataset, tmp_path):
-    a = run_cheap(small_dataset, tmp_path, out_dir=str(tmp_path / "r1"))
-    b = run_cheap(small_dataset, tmp_path, out_dir=str(tmp_path / "r2"))
-    bytes_a = open(a["paths"]["report"], "rb").read()
-    bytes_b = open(b["paths"]["report"], "rb").read()
-    assert bytes_a == bytes_b
+RERUN_ROWS = {
+    "timbre": {},
+    "audio": dict(modality="audio", settings="low-3x3", target="cosine", d=3,
+                  patch_width=32, batch_size=8),
+    "text": dict(modality="text", settings="vsm+sem", vocab_size=200),
+    "image": dict(modality="image", settings="ingested",
+                  optimizer={"kind": "sgd", "lr": 0.05, "momentum": 0.9}),
+    "fusion": dict(modality="fusion", settings="mlp", target="cosine",
+                   fusion_modalities=["T", "I"]),
+}
+
+
+def fusion_feature_files(ids, out_dir):
+    """Random T and I feature files over ``ids``, as a fusion row reads them."""
+    rng = np.random.default_rng(0)
+    files = {}
+    for mod, dim in (("T", 5), ("I", 3)):
+        files[mod] = str(out_dir / f"{mod}.mufv")
+        zoo.save_feature_vectors(rng.normal(size=(len(ids), dim)), ids, files[mod])
+    return files
+
+
+def _artifacts(run_dir):
+    """Each file of a row directory, the records of row.json and the
+    histories without their timing fields."""
+    out = {}
+    for path in sorted(run_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "row.json" or path.name.startswith("history_"):
+            data = [json.loads(line) for line in data.splitlines()]
+            for rec in data:
+                rec.pop("seconds", None)
+                rec.pop("epoch_seconds", None)
+        out[path.name] = data
+    return out
+
+
+@pytest.mark.parametrize("modality", list(RERUN_ROWS))
+def test_run_experiment_report_rerun_identical(small_dataset, tmp_path, modality):
+    overrides = dict(RERUN_ROWS[modality], epochs=2)
+    if modality == "fusion":
+        overrides["feature_files"] = fusion_feature_files(small_dataset[0].ids(), tmp_path)
+    for run in ("r1", "r2"):
+        run_cheap(small_dataset, tmp_path, out_dir=str(tmp_path / run), **overrides)
+    first = _artifacts(tmp_path / "r1")
+    assert first == _artifacts(tmp_path / "r2")
+    assert {"model.munn", "features.mufv", "predictions.mufv", "report.json",
+            "row.json"} <= set(first)
 
 
 def test_run_experiment_writes_row_json_last(small_dataset, tmp_path, monkeypatch):

@@ -1,5 +1,4 @@
-"""All binary artifact formats, and the legacy feature-vector pair that is
-still read: pinned bytes and hostile-input behaviour."""
+"""All binary artifact formats: pinned bytes and hostile-input behaviour."""
 
 import ast
 import hashlib
@@ -37,17 +36,8 @@ def _model():
     return ModelGraph((1, 4, 5), specs, {"kind": "cosine", "dim": 2}, seed=3)
 
 
-def save_legacy_feature_vectors(matrix, item_ids, path):
-    """The MUFV file and its ``.ids`` sidecar, one id per line, as genrekit
-    wrote them before item ids moved into the frame.  genrekit still reads
-    such a pair but no longer writes one."""
-    matrix = np.asarray(matrix, "<f8")
-    binfile.write(path, b"MUFV", binfile.fields(*matrix.shape), matrix)
-    binfile.write_text(f"{path}.ids", "".join(f"{item_id}\n" for item_id in item_ids))
-
-
 VECTORS = np.arange(6.0).reshape(2, 3) * 0.25
-FEATURE_IDS = {"MUFI": ["x1", " \u00e9\n"], "MUFV": ["x1", "x2"]}
+FEATURE_IDS = ["x1", " \u00e9\n"]
 
 # name -> (save(obj, path), load(path) -> arrays (and ids) to compare, fixed input)
 FORMATS = {
@@ -56,9 +46,7 @@ FORMATS = {
              np.arange(12.0).reshape(3, 4) / 8 - 0.5),
     "MUTB": (save_timbre, lambda p: [load_timbre(p)],
              np.linspace(-1.0, 1.0, 36).reshape(12, 3)),
-    "MUFI": (lambda v, p: save_feature_vectors(v, FEATURE_IDS["MUFI"], p),
-             lambda p: list(load_feature_vectors(p)), VECTORS),
-    "MUFV": (lambda v, p: save_legacy_feature_vectors(v, FEATURE_IDS["MUFV"], p),
+    "MUFI": (lambda v, p: save_feature_vectors(v, FEATURE_IDS, p),
              lambda p: list(load_feature_vectors(p)), VECTORS),
     "MUF1": (save_factor_model,
              lambda p: [(f := load_factor_model(p)).label_factors, f.singular_values],
@@ -68,14 +56,10 @@ FORMATS = {
 }
 
 # sha256 of each save_* on its fixed input: the on-disk layout is pinned.
-# MUFV and MUFV.ids are the legacy pair's digests from before the ids moved
-# into the frame.
 GOLDEN = {
     "MUCQ": "9869fb417b356e9e3bcd88fc0137a4ef07e8ad797fcf23096cf73de698e8f338",
     "MUTB": "4292e453f6355733835a248e707bacd915ece51631ae51f3c51f8d2de3b2c25d",
     "MUFI": "1528b382ee88d8d14f0bece64f0427ee8537d673131a8f74f487488b600e9168",
-    "MUFV": "00f6e68c1e04b6c93f3f23fc8cd31e206fbfd36598a8f5eb88eade9a8bac1269",
-    "MUFV.ids": "bcd36a814884aa63ca5e0d9fda82814069d2dc2daf6ba12b7c8e129ff02f169a",
     "MUF1": "0d41356686f0882f87beaea09ca1718f27f2ca89f704b751de923da5f9c4fffe",
     "MUNN": "78bacdcc8299b0420c31e87e375d7c39518e19dff54e00f72c17bb15ce4f9657",
 }
@@ -91,14 +75,11 @@ def test_save_bytes_are_pinned(tmp_path, fmt):
     path = tmp_path / "f.bin"
     save(obj, path)
     assert _sha(path) == GOLDEN[fmt]
-    if fmt == "MUFV":
-        assert _sha(tmp_path / "f.bin.ids") == GOLDEN["MUFV.ids"]
-    else:
-        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
-    if fmt in FEATURE_IDS:  # the new layout, and the legacy pair by its own branch
+    assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+    if fmt == "MUFI":
         matrix, ids = load_feature_vectors(path)
         np.testing.assert_array_equal(matrix, obj)
-        assert ids == FEATURE_IDS[fmt]
+        assert ids == FEATURE_IDS
 
 
 def _differing(got, want):
@@ -167,13 +148,12 @@ def test_trailing_byte_is_rejected(tmp_path, fmt):
         load(path)
 
 
-@pytest.mark.parametrize("fmt", ["MUTB", "MUFI", "MUFV", "MUF1", "MUNN"])
+@pytest.mark.parametrize("fmt", ["MUTB", "MUFI", "MUF1", "MUNN"])
 def test_non_finite_payload_is_rejected(tmp_path, fmt):
     save, load, _ = FORMATS[fmt]
     obj = {
         "MUTB": np.full((12, 1), np.inf),
         "MUFI": np.array([[1.0, np.nan, 2.0], [0.0, 0.0, 0.0]]),
-        "MUFV": np.array([[1.0, np.nan, 2.0], [0.0, 0.0, 0.0]]),
         "MUF1": FactorModel(1, np.array([[np.nan]]), np.array([1.0])),
         "MUNN": _model(),
     }[fmt]
@@ -194,11 +174,11 @@ def test_write_non_contiguous_array_as_c_order_bytes(tmp_path):
 
 
 def test_stale_ids_sidecar_beside_a_new_file_is_ignored(tmp_path):
-    """The magic alone picks the layout: a new file takes its ids from its
-    frame even with a legacy sidecar beside it, and a new file cut after its
-    matrix is truncated, not read as a legacy one."""
+    """A feature file takes its ids from its frame even with an ``.ids``
+    sidecar of an older genrekit beside it, and one cut after its matrix is
+    truncated, not completed from the sidecar."""
     path = tmp_path / "f.mufv"
-    save_legacy_feature_vectors(VECTORS, ["old1", "old2"], path)
+    (tmp_path / "f.mufv.ids").write_text("old1\nold2\n")
     save_feature_vectors(VECTORS, ["new1", "new2"], path)
     assert load_feature_vectors(path)[1] == ["new1", "new2"]
     path.write_bytes(path.read_bytes()[:12 + VECTORS.nbytes])

@@ -131,12 +131,21 @@ def test_make_optimizer_dispatch():
     {"kind": "adam", "beta1": 1.0}, {"kind": "adam", "beta1": -1.0},
     {"kind": "adam", "beta2": 1}, {"kind": "adam", "beta2": -0.5},
     {"kind": "sgd", "momentum": 1.0}, {"kind": "sgd", "momentum": -0.1},
+    {"kind": "sgd", "momentum": 1.5}, {"kind": "sgd", "lr": 0},
+    {"kind": "adam", "lr": -1e-3}, {"kind": "adam", "eps": float("nan")},
+    {"kind": "sgd", "lr": float("inf")}, {"kind": "adam", "beta2": True},
+    {"kind": "sgd", "momentum": "0.9"},
 ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_make_optimizer_refuses_values_that_train_nan(config):
-    """Each of these values turned weights into NaN without an error."""
-    name = [k for k in config if k != "kind"][0]
+    """Each of these values turned weights into NaN without an error.  The
+    classes refuse them themselves, so a direct construction is refused too."""
+    hyper = dict(config)
+    cls = SGD if hyper.pop("kind") == "sgd" else Adam
+    name = next(iter(hyper))
     with pytest.raises(ConfigInvalid, match=name):
         make_optimizer(config)
+    with pytest.raises(ConfigInvalid, match=name):
+        cls(**hyper)
 
 
 def test_make_optimizer_accepts_the_closed_ends():

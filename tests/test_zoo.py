@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genrekit import binfile
 from genrekit.cli import main
 from genrekit.errors import (
+    BadMagic,
     ConfigInvalid,
     DataError,
     EmptyAlbum,
-    IdCountMismatch,
-    IoError,
     MissingModality,
     NonFiniteLoss,
 )
@@ -30,7 +30,6 @@ from genrekit.zoo import (
     save_feature_vectors,
     train,
 )
-from test_formats import save_legacy_feature_vectors
 
 
 # ------------------------------------------------------------- architectures
@@ -250,23 +249,15 @@ def test_feature_vector_roundtrip(tmp_path):
     assert got_ids == ids
 
 
-def test_feature_vectors_missing_ids_sidecar(tmp_path):
+def test_legacy_mufv_file_is_bad_magic(tmp_path):
+    """A feature file of an older genrekit, the MUFV matrix frame with its ids
+    in an ``.ids`` sidecar, is no longer read, sidecar or not."""
     path = tmp_path / "f.mufv"
-    save_legacy_feature_vectors(np.ones((3, 2)), ["a", "b", "c"], path)
-    (tmp_path / "f.mufv.ids").unlink()
-    with pytest.raises(IoError):
+    binfile.write(path, b"MUFV", binfile.fields(3, 2), np.ones((3, 2), "<f8"))
+    (tmp_path / "f.mufv.ids").write_text("a\nb\nc\n")
+    with pytest.raises(BadMagic, match="MUFV"):
         load_feature_vectors(path)
     assert main(["fuse", f"A={path}", "--out", str(tmp_path / "o.mufv")]) == 3
-
-
-def test_feature_vectors_ids_count_mismatch(tmp_path):
-    path = tmp_path / "f.mufv"
-    save_legacy_feature_vectors(np.ones((3, 2)), ["a", "b", "c"], path)
-    for text, n_ids in (("a\n", 1), ("a\nb\nc\nd\n", 4)):
-        (tmp_path / "f.mufv.ids").write_text(text)
-        with pytest.raises(IdCountMismatch, match=f"3 rows but {n_ids} ids"):
-            load_feature_vectors(path)
-        assert main(["fuse", f"A={path}", "--out", str(tmp_path / "o.mufv")]) == 3
 
 
 @pytest.mark.parametrize("odd", ["", " a", "b ", "a\nb", "a\rb", "\t"],
