@@ -79,6 +79,9 @@ def cmd_extract(args):
     manifest, tax = _load_inputs(args)
     cfg = _config(args, seed=args.seed)
     model = load_model(args.model)
+    if model.seed != cfg.seed:  # the inputs would be refit on another split
+        raise ConfigError(f"{args.model} was trained with seed {model.seed}, "
+                          f"but the config seed is {cfg.seed}")
     setup = experiment.prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
     inputs, album_of_track = experiment.model_inputs(cfg, manifest, setup)
     mat = experiment.album_features(model, inputs, album_of_track, cfg, len(manifest))

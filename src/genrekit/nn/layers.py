@@ -73,7 +73,7 @@ class FactoredGrad:
 
 class Dense(Layer):
     """``backward`` leaves ``dw`` as a ``FactoredGrad`` of the cached batch,
-    which the optimizer step forms one block of rows at a time; changing
+    which the optimizer step forms one span of rows at a time; changing
     the batch in place before the step changes the gradient.  ``x @ w`` and
     ``dout @ w.T`` go through ``kernels.matmul``, which runs a wide weight's
     two column halves on two threads."""

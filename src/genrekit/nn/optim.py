@@ -1,29 +1,31 @@
 """Deterministic SGD-with-momentum and Adam optimizers, updating in place.
 
-A step cuts each parameter block into spans of about ``SPAN`` elements and
-updates them on the calling thread and the kernels pool's threads
+A step cuts each parameter block into spans (``_spans``) and updates them
+on the calling thread and the kernels pool's threads
 (``kernels._run_groups``); each thread takes the next span whenever it is
 free and works in its own slot of scratch buffers allocated once, one span
-long, so a step allocates no temporaries the size of a parameter block.  A
-dense weight's gradient is a ``FactoredGrad``, ``x.T @ dout`` kept as its
-two factors: the rows of a span are formed into its slot, in blocks of
-about ``CHUNK`` elements (``_bounds``), just before they are updated, so no
-weight-sized gradient array exists.  The factors are held without copying,
-so a caller that changes its batch in place between backward and step
-changes the gradient.
+long, so a step allocates no temporaries the size of a parameter block.
 
-The GEMM blocks and the update spans differ in size on purpose.  The
-blocks keep the row cuts that fix the gradient's bits.  The spans are
-larger because an Adam update is ~13 numpy calls per span, and a thread
-holds the interpreter lock between them: one Adam step on a 2048x2048
-weight ran 0.7x as fast on two threads as on one over spans of 2^13
-elements, 1.2-1.3x over 2^14 and 1.6-1.8x over 2^16 (2^15 to 2^18 all
-gave 1.4-1.85x, 2^16 the shortest step; shared 2-core x86_64 VM, one
-BLAS thread).
+An array's span is ``SPAN`` elements.  A dense weight's gradient is a
+``FactoredGrad``, ``x.T @ dout`` kept as its two factors; its span is
+``max(2, SPAN // width)`` whole rows, formed into the slot by one GEMM just
+before they are updated, so no weight-sized gradient array exists.  A
+one-row tail joins the span before it, which then holds at most ``SPAN +
+width`` elements (three rows where the width exceeds ``SPAN / 2``): BLAS
+forms a one-row product with gemv, which rounds differently.  The factors
+are held without copying, so a caller that changes its batch in place
+between backward and step changes the gradient.
+
+``SPAN`` is 2^16 because an Adam update is ~13 numpy calls per span, and a
+thread holds the interpreter lock between them: one Adam step on a
+2048x2048 weight ran 0.7x as fast on two threads as on one over spans of
+2^13 elements, 1.2-1.3x over 2^14 and 1.6-1.8x over 2^16 (2^15 to 2^18 all
+gave 1.4-1.85x, 2^16 the shortest step; shared 2-core x86_64 VM, one BLAS
+thread).
 
 Each element sees the same floating-point operations, in the same order, as
 the whole-array formulas in the docstrings, whatever the thread count.  A
-block of rows equals those rows of the whole GEMM where the width is a
+span of rows equals those rows of the whole GEMM where the width is a
 multiple of 8 and on every dense shape the benchmark trains; elsewhere
 OpenBLAS may round the last ``width % 8`` columns differently, within the
 dot-product error bound ``2 * batch * eps * (|x|.T @ |dout|)`` that the
@@ -31,6 +33,7 @@ tests check.
 """
 
 import inspect
+import itertools
 import sys
 
 import numpy as np
@@ -38,8 +41,6 @@ import numpy as np
 from .. import kernels
 from ..errors import ConfigInvalid, ShapeMismatch
 
-# 2^14 float64 = 128 KiB: the rows of a factored gradient one GEMM forms
-CHUNK = 1 << 14
 # 2^16 elements: what a thread updates each time it takes the next span
 SPAN = 1 << 16
 
@@ -56,39 +57,26 @@ def _check_blocks(params_and_grads, n_state):
             raise ShapeMismatch(f"parameter block of shape {p.shape} is not C-contiguous")
 
 
-def _bounds(grad):
-    """Flat offsets that cut ``grad`` into blocks: SPAN elements of an
-    array, or whole rows of a factored gradient, about CHUNK elements, each
-    formed by one GEMM.  A factored block holds at least two rows (a
-    one-row tail joins the block before it), because BLAS forms a one-row
-    product with gemv, which rounds differently from the whole GEMM."""
+def _spans(grad):
+    """Flat offsets that cut ``grad`` into the spans a step updates: SPAN
+    elements of an array, or ``max(2, SPAN // width)`` whole rows of a
+    factored gradient, each span formed by one GEMM.  A one-row tail joins
+    the span before it, because BLAS forms a one-row product with gemv,
+    which rounds differently from the whole GEMM."""
     if isinstance(grad, np.ndarray):
         return list(range(0, grad.size, SPAN)) + [grad.size]
     rows, width = grad.shape
-    cuts = list(range(0, rows, max(2, CHUNK // width)))
+    cuts = list(range(0, rows, max(2, SPAN // width)))
     if len(cuts) > 1 and rows - cuts[-1] == 1:
         cuts.pop()
     return [r * width for r in cuts] + [rows * width]
 
 
-def _spans(grad):
-    """The spans a step updates, each the list of bounds of its blocks:
-    consecutive blocks of at most SPAN elements in all, or one larger block."""
-    bounds = _bounds(grad)
-    spans = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if spans and hi - spans[-1][0] <= SPAN:
-            spans[-1].append(hi)
-        else:
-            spans.append([lo, hi])
-    return spans
-
-
 def _scratch(params_and_grads, n):
     """``n`` buffers of the largest span per thread a step may use."""
-    spans = [s for _, g in params_and_grads for s in _spans(g)]
-    size = max((s[-1] - s[0] for s in spans), default=0)
-    return np.empty((kernels._threads(len(spans)), n, size))
+    cuts = [_spans(g) for _, g in params_and_grads]
+    size = max((hi - lo for c in cuts for lo, hi in itertools.pairwise(c)), default=0)
+    return np.empty((kernels._threads(sum(len(c) - 1 for c in cuts)), n, size))
 
 
 def _walk(params_and_grads, scratch, update):
@@ -96,20 +84,18 @@ def _walk(params_and_grads, scratch, update):
     on ``len(scratch)`` threads: ``s`` is the span's flat slice, ``g`` its
     gradient values and ``tmp`` the thread's scratch buffers but the first,
     which holds the gradient of a factored span."""
-    tasks = [(k, cuts) for k, (_, grad) in enumerate(params_and_grads)
-             for cuts in _spans(grad)]
+    tasks = [(k, lo, hi) for k, (_, grad) in enumerate(params_and_grads)
+             for lo, hi in itertools.pairwise(_spans(grad))]
 
     def run(slot, i, _):
-        k, cuts = tasks[i]
+        k, lo, hi = tasks[i]
         grad = params_and_grads[k][1]
-        lo, hi = cuts[0], cuts[-1]
         buf = scratch[slot, :, :hi - lo]
         if isinstance(grad, np.ndarray):
             g = grad.reshape(-1)[lo:hi]
         else:
             g, width = buf[0], grad.shape[1]
-            for r0, r1 in zip(cuts, cuts[1:]):
-                grad.rows(r0 // width, r1 // width, g[r0 - lo:r1 - lo].reshape(-1, width))
+            grad.rows(lo // width, hi // width, g.reshape(-1, width))
         update(k, slice(lo, hi), g, buf[1:])
 
     kernels._run_groups(len(tasks), 1, len(scratch), run)

@@ -3,6 +3,7 @@ the training loop with early stopping, feature extraction, track averaging,
 and late fusion of per-modality vectors.
 """
 
+import collections
 import json
 import time
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binfile
-from .errors import ConfigInvalid, EmptyAlbum, MissingModality, NonFiniteLoss
+from .errors import ConfigInvalid, DuplicateId, EmptyAlbum, MissingModality, NonFiniteLoss
 from .nn import ModelGraph, make_optimizer
 
 LOW_WIDTHS = (64, 128, 128, 64)
@@ -290,7 +291,11 @@ def save_feature_vectors(matrix, item_ids, path):
 
 
 def load_feature_vectors(path):
-    """(matrix, item ids)."""
+    """(matrix, item ids); DuplicateId if an id names two rows."""
     with binfile.reader(path, FEATURE_MAGIC) as frame:
         m, dim = frame.fields(2)
-        return frame.array("<f8", (m, dim)).copy(), frame.strings(m)
+        matrix, ids = frame.array("<f8", (m, dim)).copy(), frame.strings(m)
+    repeated = [i for i, n in collections.Counter(ids).items() if n > 1]
+    if repeated:
+        raise DuplicateId(f"{path}: item id {repeated[0]!r} names more than one row")
+    return matrix, ids

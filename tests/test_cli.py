@@ -303,6 +303,38 @@ def test_extract_keeps_the_config_seed(tmp_path, capsys, tiny_ds):
     assert out.read_bytes() == (tmp_path / "run" / "features.mufv").read_bytes()
 
 
+def test_extract_refuses_a_model_of_another_seed(tmp_path, capsys, tiny_ds):
+    """A text row trained at seed 1 and extracted at seed 2 would have its
+    vocabulary refit on seed 2's split, and so other features."""
+    cfg = _write(tmp_path / "cfg.json", json.dumps(
+        {"modality": "text", "settings": "vsm", "epochs": 2, "seed": 1}))
+    run, out = tmp_path / "run", tmp_path / "x.mufv"
+    assert main(["train", *tiny_ds, "--config", cfg, "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["extract", *tiny_ds, "--config", cfg, "--seed", "2",
+                 "--model", str(run / "model.munn"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed 1" in err and "seed is 2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "fuse"])
+def test_feature_file_with_a_repeated_id_is_refused(tmp_path, capsys, tiny_ds, command):
+    """A file whose first row is appended again under its id would count
+    that album twice."""
+    manifest, tax = load_manifest(tiny_ds[1]), load_taxonomy(tiny_ds[3])
+    n_labels = len(prepare_labels(manifest, tax, ExperimentConfig().seed).kept_labels)
+    scores = np.random.default_rng(0).random((len(manifest), n_labels))
+    path = tmp_path / "repeated.mufv"
+    save_feature_vectors(np.vstack([scores, scores[:1]]), manifest.ids() + manifest.ids()[:1],
+                         path)
+    argv = {"evaluate": ["evaluate", *tiny_ds, "--predictions", str(path)],
+            "fuse": ["fuse", f"A={path}", "--out", str(tmp_path / "f.mufv")]}[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(manifest.ids()[0]) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", ["other-album", "no-rows", "two-rows"])
 def test_image_vector_file_must_hold_its_album(tmp_path, capsys, case):
     """An image row trains only on one vector per album whose id is the album's."""

@@ -26,7 +26,7 @@ from genrekit.nn import (
 )
 from genrekit.nn.layers import FactoredGrad
 from genrekit.nn.model import _cosine_grad, _stable_sigmoid
-from genrekit.nn.optim import CHUNK, SPAN, _bounds
+from genrekit.nn.optim import SPAN, _spans
 
 
 def small_mlp(head="logistic", seed=0, in_dim=6, out=4):
@@ -203,30 +203,34 @@ BENCH_DENSE_SHAPES = [(122, 2048), (2048, 2048), (2048, 15), (64, 512), (512, 9)
 
 
 def _blocked(grad):
-    """The whole gradient assembled from the row blocks an optimizer walks."""
+    """The whole gradient assembled from the spans of rows an optimizer walks."""
     out = np.empty(grad.shape)
-    bounds = [b // grad.shape[1] for b in _bounds(grad)]
+    bounds = [b // grad.shape[1] for b in _spans(grad)]
     for r0, r1 in zip(bounds, bounds[1:]):
-        assert r1 - r0 >= 2 or grad.shape[0] == 1, "one-row block: BLAS would use gemv"
+        assert r1 - r0 >= 2 or grad.shape[0] == 1, "one-row span: BLAS would use gemv"
         grad.rows(r0, r1, out[r0:r1])
     return out
 
 
 @st.composite
 def factored_cases(draw):
-    width = draw(st.one_of(st.integers(1, 64),
-                           st.sampled_from([255, 257, 2047, 2048, 2049, CHUNK + 1, CHUNK + 8])))
-    rows_per_block = max(2, CHUNK // width)
-    # whole blocks plus a tail of 0-3 rows, so one-row remainders occur
-    in_dim = max(1, draw(st.integers(0, 2)) * rows_per_block + draw(st.integers(0, 3)))
-    return draw(st.integers(1, 64)), in_dim, width, draw(st.integers(0, 2**31))
+    # a span holds SPAN // width rows: widths from 5, and batches up to 32
+    # above SPAN / 2, keep every example under ~29 MB
+    width = draw(st.one_of(st.integers(5, 64),
+                           st.sampled_from([255, 257, 2047, 2048, 2049,
+                                            SPAN // 2 + 1, SPAN // 2 + 8])))
+    rows_per_span = max(2, SPAN // width)
+    # whole spans plus a tail of 0-3 rows, so one-row remainders occur
+    in_dim = max(1, draw(st.integers(0, 2)) * rows_per_span + draw(st.integers(0, 3)))
+    batch = draw(st.integers(1, 32 if width > SPAN // 2 else 64))
+    return batch, in_dim, width, draw(st.integers(0, 2**31))
 
 
 @settings(max_examples=150, deadline=None)
 @given(factored_cases())
 def test_factored_row_blocks_equal_the_whole_gemm(case):
     """Bit-identical where the width is a multiple of 8.  Elsewhere OpenBLAS
-    may round the last ``width % 8`` columns of a row block differently from
+    may round the last ``width % 8`` columns of a span of rows differently from
     the whole product; both sums then lie within the dot-product error
     bound, so they differ by at most ``2 * batch * eps * (|x|.T @ |dout|)``."""
     batch, in_dim, width, seed = case
@@ -250,19 +254,19 @@ def test_factored_row_blocks_are_bit_identical_on_the_benchmark_shapes(shape, ba
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_factored_steps_match_materialized_gradients(kind):
-    """Three steps on an MLP whose first weight walks several row blocks and
-    a folded one-row tail (33 rows of width 2048) end bit-identical to the
+    """Three steps on an MLP whose first weight walks two spans of rows and
+    a folded one-row tail (65 rows of width 2048) end bit-identical to the
     whole-array formulas applied to gradients formed by one GEMM each."""
     specs = [{"kind": "dense", "out": 2048}, {"kind": "relu"},
              {"kind": "dense", "out": 24}, {"kind": "relu"}]
-    model = ModelGraph((33,), specs, {"kind": "cosine", "dim": 5}, seed=4)
+    model = ModelGraph((65,), specs, {"kind": "cosine", "dim": 5}, seed=4)
     expect = model.get_params()
     state = [[np.zeros_like(p) for p in expect] for _ in range(2)]
     opt = SGD(lr=0.05, momentum=0.9) if kind == "sgd" else Adam(lr=3e-3)
     rng = np.random.default_rng(8)
     for t in range(1, 4):
         model.set_params(expect)
-        model.forward(rng.normal(size=(16, 33)), train=True)
+        model.forward(rng.normal(size=(16, 65)), train=True)
         _, dz = model.loss_grad(rng.normal(size=(16, 5)))
         model.backward(dz)
         grads = model.grads()
@@ -299,11 +303,27 @@ def test_dense_backward_and_adam_step_allocate_no_weight_gradient():
         assert peak - moments < layer.w.nbytes / 4
 
 
+def test_a_step_forms_each_factored_span_with_one_gemm(monkeypatch):
+    """One ``rows`` call per span: 32 rows of width 2048, and a one-row tail
+    that joins the last span."""
+    calls, rows = [], FactoredGrad.rows
+
+    def counted(self, r0, r1, out):
+        calls.append((r0, r1))
+        return rows(self, r0, r1, out)
+
+    monkeypatch.setattr(FactoredGrad, "rows", counted)
+    rng = np.random.default_rng(3)
+    grad = FactoredGrad(rng.normal(size=(4, 65)), rng.normal(size=(4, 2048)))
+    Adam().step([(np.zeros(grad.shape), grad)])
+    assert sorted(calls) == [(0, 32), (32, 65)]
+
+
 @st.composite
 def step_cases(draw):
-    width = draw(st.sampled_from([15, 255, 2048, CHUNK + 1]))
-    # 1-9 row blocks, and with a one-row tail that joins the last block
-    rows = draw(st.integers(1, 9)) * max(2, CHUNK // width) + draw(st.integers(0, 1))
+    width = draw(st.sampled_from([15, 255, 2048, SPAN // 2 + 1]))
+    # 1-2 spans, and with a one-row tail that joins the last span
+    rows = draw(st.integers(1, 2)) * max(2, SPAN // width) + draw(st.integers(0, 1))
     return (draw(st.sampled_from(["sgd", "adam"])), draw(st.integers(1, 16)), rows, width,
             draw(st.integers(0, 2**31)))
 
@@ -325,7 +345,7 @@ def stepped_params(kind, batch, rows, width, seed):
 @given(step_cases())
 def test_optimizer_steps_do_not_depend_on_the_worker_count(case):
     """Spans updated on 1, 2 or 3 threads give the same bits: each element's
-    update and each factored block's GEMM are the same on any thread."""
+    update and each factored span's GEMM are the same on any thread."""
     with workers(1):
         want = stepped_params(*case)
     for n in (2, 3):
