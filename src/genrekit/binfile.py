@@ -7,12 +7,28 @@ typed arrays and UTF-8 strings in the order its format fixes, and nothing
 after them.  A read fails with a ``DataError`` (CLI exit 3): ``IoError``,
 ``BadMagic``, ``TruncatedFile`` (checked before allocating),
 ``NonFiniteValue``, ``TrailingBytes``, or a string that is not UTF-8.
+
+``write`` rewrites a file in place, with its first bytes last: NUL over the
+first ``HEAD`` bytes, then the rest of the content, then a cut to the new
+length when the length differs, then the first ``HEAD`` bytes.  It never
+truncates first: freeing every block of a file and allocating it again made
+rewriting a data set's few hundred small files about ten times as slow as
+writing over them on ext4 with online discard, and a temp file renamed over
+the old one (a new inode each time) was slower still.  Until its last step
+a file under rewrite begins with NUL, or is a new file still empty, and no
+artifact does either: a frame fails its magic check (``BadMagic``) and
+``read_text`` refuses an empty file and any NUL.  So a write that fails at
+any step leaves no file (the failed step removes it; a failed open leaves
+the old file), and one killed at any step leaves the new file, the old one
+(killed before its first byte), or a file every loader refuses.  The order
+holds against a failed or killed writer, not against power loss: nothing is
+synced.  One file written and read at the same time is not supported.
 """
 
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -20,12 +36,21 @@ from .errors import BadMagic, DataError, IoError, NonFiniteValue, TrailingBytes,
 
 
 def read_text(path):
-    """A whole UTF-8 text file; IoError if it cannot be read or decoded."""
+    """A whole UTF-8 text file; IoError if it cannot be read or decoded, and
+    DataError if it is empty or holds a NUL, as a file whose write did not
+    finish can be."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"{path}: cannot read: {exc}") from exc
+    if not text:
+        raise DataError(f"{path}: empty file: no text artifact is, "
+                        "but a write that did not finish can leave one")
+    if "\0" in text:
+        raise DataError(f"{path}: NUL at character {text.index(chr(0))}: "
+                        "not a text file, or its write did not finish")
+    return text
 
 
 def make_dirs(path):
@@ -66,14 +91,45 @@ def strings(values):
     return np.array([len(e) for e in encoded], "<u4"), b"".join(encoded)
 
 
+HEAD = 4  # bytes written last: a frame's magic, or a text's first bytes
+
+
+def _pwrite(fd, data, offset):
+    while len(data):
+        n = os.pwrite(fd, data, offset)
+        data, offset = data[n:], offset + n
+
+
 def write(path, *parts):
     """Each part, the magic first: bytes as given, arrays in their own dtype
-    and C order, written from their buffer (a copy only if not contiguous)."""
+    and C order, written from their buffer (a copy only if not contiguous).
+    The file is rewritten in place, its first HEAD bytes last (see the module
+    docstring); if a step fails the file is removed and IoError raised."""
+    views = [memoryview(part) if isinstance(part, bytes)
+             else memoryview(np.ascontiguousarray(part).reshape(-1).view(np.uint8))
+             for part in parts]
+    size = sum(len(view) for view in views)
+    head = b"".join(bytes(view[:HEAD]) for view in views)[:HEAD]
     try:
-        with open(path, "wb") as fh:
-            for part in parts:
-                fh.write(part if isinstance(part, bytes) else np.ascontiguousarray(part).data)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
+        raise IoError(f"{path}: cannot write: {exc}") from exc
+    try:
+        try:
+            _pwrite(fd, bytes(len(head)), 0)
+            offset = 0
+            for view in views:
+                skip = min(len(view), max(0, HEAD - offset))
+                _pwrite(fd, view[skip:], offset + skip)
+                offset += len(view)
+            if os.fstat(fd).st_size != size:
+                os.ftruncate(fd, size)
+            _pwrite(fd, head, 0)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        with suppress(OSError):
+            os.remove(path)
         raise IoError(f"{path}: cannot write: {exc}") from exc
 
 

@@ -280,14 +280,23 @@ def fuse(modality_vectors, selection=MODALITY_ORDER):
 FEATURE_MAGIC = b"MUFI"
 
 
+def _refuse_repeated(ids, path):
+    repeated = [i for i, n in collections.Counter(ids).items() if n > 1]
+    if repeated:
+        raise DuplicateId(f"{path}: item id {repeated[0]!r} names more than one row")
+
+
 def save_feature_vectors(matrix, item_ids, path):
-    """The matrix and its item ids, any strings, in one frame; a non-string id
-    or one holding a lone surrogate is refused before anything is written."""
+    """The matrix and its item ids, any strings, in one frame; a non-string id,
+    one holding a lone surrogate or one that names two rows (DuplicateId) is
+    refused before anything is written."""
     matrix = np.asarray(matrix, dtype="<f8")
     m, dim = matrix.shape
     if len(item_ids) != m:
         raise ConfigInvalid("item id count does not match matrix rows")
-    binfile.write(path, FEATURE_MAGIC, binfile.fields(m, dim), matrix, *binfile.strings(item_ids))
+    strings = binfile.strings(item_ids)
+    _refuse_repeated(item_ids, path)
+    binfile.write(path, FEATURE_MAGIC, binfile.fields(m, dim), matrix, *strings)
 
 
 def load_feature_vectors(path):
@@ -295,7 +304,5 @@ def load_feature_vectors(path):
     with binfile.reader(path, FEATURE_MAGIC) as frame:
         m, dim = frame.fields(2)
         matrix, ids = frame.array("<f8", (m, dim)).copy(), frame.strings(m)
-    repeated = [i for i, n in collections.Counter(ids).items() if n > 1]
-    if repeated:
-        raise DuplicateId(f"{path}: item id {repeated[0]!r} names more than one row")
+    _refuse_repeated(ids, path)
     return matrix, ids

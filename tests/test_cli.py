@@ -1,14 +1,16 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from genrekit import binfile
 from genrekit.cli import main
 from genrekit.experiment import ExperimentConfig, prepare_labels, run_experiment
 from genrekit.labelspace import load_taxonomy
 from genrekit.pipeline import SynthSpec, load_manifest, save_manifest, synth_dataset
-from genrekit.zoo import save_feature_vectors
+from genrekit.zoo import FEATURE_MAGIC, save_feature_vectors
 from test_experiment import fusion_feature_files
 
 
@@ -247,6 +249,26 @@ def test_text_input_exit_codes(tmp_path, capsys, tiny_ds, case, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["report-rows", "manifest", "taxonomy"])
+def test_nul_head_is_refused_naming_the_file(tmp_path, capsys, tiny_ds, case):
+    """A text artifact whose first bytes are NUL, as a write that did not
+    finish leaves it, is refused with exit 3: a taxonomy would otherwise load
+    with a label named by its NULs."""
+    sources = {"report-rows": _write(tmp_path / "rows.jsonl", json.dumps(ROW) + "\n"),
+               "manifest": tiny_ds[1], "taxonomy": tiny_ds[3]}
+    source = Path(sources[case])
+    bad = source.with_name(f"nul-head-{source.name}")  # beside it, so its paths resolve
+    bad.write_bytes(bytes(4) + source.read_bytes()[4:])
+    out = ["--out", str(tmp_path / "run")]
+    argv = {"report-rows": ["report", "--rows", str(bad)],
+            "manifest": ["train", "--manifest", str(bad), *tiny_ds[2:], *out],
+            "taxonomy": ["train", *tiny_ds[:2], "--taxonomy", str(bad), *out]}[case]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "NUL" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("case", ["report-config", "fuse-seed", "synth-manifest"])
 def test_option_a_subcommand_does_not_read_is_refused(tmp_path, capsys, case):
     """An option the subcommand would ignore is an argparse error (exit 2)."""
@@ -326,8 +348,9 @@ def test_feature_file_with_a_repeated_id_is_refused(tmp_path, capsys, tiny_ds, c
     n_labels = len(prepare_labels(manifest, tax, ExperimentConfig().seed).kept_labels)
     scores = np.random.default_rng(0).random((len(manifest), n_labels))
     path = tmp_path / "repeated.mufv"
-    save_feature_vectors(np.vstack([scores, scores[:1]]), manifest.ids() + manifest.ids()[:1],
-                         path)
+    ids = manifest.ids() + manifest.ids()[:1]  # save_feature_vectors refuses these ids
+    binfile.write(path, FEATURE_MAGIC, binfile.fields(len(ids), n_labels),
+                  np.vstack([scores, scores[:1]]), *binfile.strings(ids))
     argv = {"evaluate": ["evaluate", *tiny_ds, "--predictions", str(path)],
             "fuse": ["fuse", f"A={path}", "--out", str(tmp_path / "f.mufv")]}[command]
     assert main(argv) == 3
@@ -344,7 +367,7 @@ def test_image_vector_file_must_hold_its_album(tmp_path, capsys, case):
     victim, other = manifest.items[0], manifest.items[1]
     vectors = {"other-album": (np.ones((1, 4)), [other.id]),
                "no-rows": (np.ones((0, 4)), []),
-               "two-rows": (np.ones((2, 4)), [victim.id, victim.id])}[case]
+               "two-rows": (np.ones((2, 4)), [victim.id, other.id])}[case]
     save_feature_vectors(*vectors, manifest.resolve(victim.image_vec))
     cfg = _write(tmp_path / "cfg.json", json.dumps(
         {"modality": "image", "settings": "ingested", "epochs": 2}))

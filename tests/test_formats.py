@@ -1,8 +1,12 @@
 """All binary artifact formats: pinned bytes and hostile-input behaviour."""
 
 import ast
+import errno
 import hashlib
+import os
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from genrekit.audiofeat import (
     save_timbre,
 )
 from genrekit.errors import (
+    DataError,
     GenrekitError,
     IoError,
     NonFiniteValue,
@@ -26,7 +31,8 @@ from genrekit.errors import (
 )
 from genrekit.labelspace import FactorModel, load_factor_model, save_factor_model
 from genrekit.nn import ModelGraph, load_model, save_model
-from genrekit.zoo import load_feature_vectors, save_feature_vectors
+from genrekit.pipeline import Manifest, ManifestItem, load_manifest, save_manifest
+from genrekit.zoo import load_feature_vectors, save_feature_vectors, save_history
 
 
 def _model():
@@ -186,16 +192,184 @@ def test_stale_ids_sidecar_beside_a_new_file_is_ignored(tmp_path):
         load_feature_vectors(path)
 
 
+def _open_calls(module):
+    for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and (
+                getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open"):
+            yield node
+
+
+def _opens_to_write(call):
+    """True for an ``os.open`` whose flags write, False for a builtin
+    ``open`` that only reads; AssertionError for any open that can
+    truncate or append."""
+    if getattr(call.func, "attr", None) == "open":
+        flags = {n.attr for n in ast.walk(call.args[1]) if isinstance(n, ast.Attribute)}
+        assert "O_TRUNC" not in flags and "O_APPEND" not in flags, ast.unparse(call)
+        return bool(flags & {"O_WRONLY", "O_RDWR"})
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r"))
+    assert isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"), ast.unparse(call)
+    return False
+
+
 def test_only_binfile_opens_files():
-    """Every file the library writes goes through binfile's one ``open`` call."""
+    """Every file the library writes goes through binfile's one write-mode
+    open, and that open cannot truncate: ``write`` rewrites in place."""
     src = Path(__file__).resolve().parents[1] / "src" / "genrekit"
-    callers = []
-    for module in sorted(src.rglob("*.py")):
-        if module.name == "binfile.py":
-            continue
-        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
-            func = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and (
-                    getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open"):
-                callers.append(f"{module.relative_to(src)}:{node.lineno}")
+    callers = [f"{module.relative_to(src)}:{call.lineno}"
+               for module in sorted(src.rglob("*.py")) if module.name != "binfile.py"
+               for call in _open_calls(module)]
     assert callers == []
+    writes = [ast.unparse(call) for call in _open_calls(src / "binfile.py")
+              if _opens_to_write(call)]
+    assert len(writes) == 1, writes
+
+
+# ------------------------------------------------------- the write protocol
+
+class _Killed(BaseException):
+    """A writer stopped between two system calls, as by SIGKILL."""
+
+
+@pytest.fixture
+def syscalls(monkeypatch):
+    """Records the open flags and the writes and cuts of ``binfile.write``:
+    ``log`` holds ("pwrite", bytes, offset) and ("ftruncate", length).
+    With ``fail_at`` = n, ``fault`` is raised in place of write or cut n."""
+    rec = SimpleNamespace(flags=[], log=[], fail_at=None, fault=None)
+    real_open, real_pwrite, real_ftruncate = os.open, os.pwrite, os.ftruncate
+
+    def opened(path, flags, *args):
+        rec.flags.append(flags)
+        return real_open(path, flags, *args)
+
+    def step(real, entry, fd, *args):
+        if len(rec.log) == rec.fail_at:
+            raise rec.fault
+        rec.log.append(entry)
+        return real(fd, *args)
+
+    monkeypatch.setattr(os, "open", opened)
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: step(
+        real_pwrite, ("pwrite", bytes(data), offset), fd, data, offset))
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: step(
+        real_ftruncate, ("ftruncate", length), fd, length))
+    return rec
+
+
+ARRAY = np.arange(10.0)
+
+# name -> (parts of binfile.write, the bytes they make)
+CONTENTS = {
+    "frame": ([b"TEST", binfile.fields(3), ARRAY],
+              b"TEST" + binfile.fields(3) + ARRAY.tobytes()),
+    "frame-shorter": ([b"TEST", binfile.fields(1), ARRAY[:2]],
+                      b"TEST" + binfile.fields(1) + ARRAY[:2].tobytes()),
+    "frame-equal": ([b"TEST", binfile.fields(4), ARRAY[::-1]],
+                    b"TEST" + binfile.fields(4) + ARRAY[::-1].tobytes()),
+    "frame-longer": ([b"TEST", binfile.fields(2), ARRAY, ARRAY],
+                     b"TEST" + binfile.fields(2) + 2 * ARRAY.tobytes()),
+    "text-short": (["a\n".encode()], b"a\n"),
+    "text-empty": ([b""], b""),
+}
+
+
+@pytest.mark.parametrize("old,new", [
+    (None, "frame"), ("frame", "frame-longer"), ("frame", "frame-equal"),
+    ("frame", "frame-shorter"), ("frame", "text-short"), ("frame", "text-empty"),
+    (None, "text-empty"), ("text-empty", "text-short"),
+])
+def test_write_rewrites_in_place_first_bytes_last(tmp_path, syscalls, old, new):
+    """An overwrite keeps the file's inode and leaves exactly the new bytes.
+    Its one open does not truncate; it writes NUL over the first bytes, then
+    everything after them, cuts the file only when its length differs, and
+    writes the first bytes last."""
+    path = tmp_path / "f.bin"
+    if old is not None:
+        path.write_bytes(CONTENTS[old][1])
+        inode = path.stat().st_ino
+    parts, want = CONTENTS[new]
+    binfile.write(path, *parts)
+    assert path.read_bytes() == want
+    if old is not None:
+        assert path.stat().st_ino == inode
+    assert len(syscalls.flags) == 1 and not syscalls.flags[0] & os.O_TRUNC
+    head = want[:binfile.HEAD]
+    writes = [e for e in syscalls.log if e[0] == "pwrite"]
+    if head:
+        assert writes[0] == ("pwrite", bytes(len(head)), 0)
+        assert syscalls.log[-1] == ("pwrite", head, 0)
+        assert all(offset >= binfile.HEAD for _, _, offset in writes[1:-1])
+    cut = len(CONTENTS[old][1]) > len(want) if old is not None else False
+    assert [e for e in syscalls.log if e[0] == "ftruncate"] == ([("ftruncate", len(want))]
+                                                                if cut else [])
+
+
+def _manifest(n):
+    return Manifest([ManifestItem(f"album{i}", ["genre00"], reviews=[f"review {i}"])
+                     for i in range(n)], "")
+
+
+# name -> (save(n, path) writing a version of size n, load(path) -> comparable value)
+ARTIFACTS = {
+    "MUFI": (lambda n, p: save_feature_vectors(np.full((n, 3), float(n)),
+                                               [f"id{i}" for i in range(n)], p),
+             lambda p: (lambda m, ids: (m.tolist(), ids))(*load_feature_vectors(p))),
+    "manifest": (lambda n, p: save_manifest(_manifest(n), p),
+                 lambda p: [(it.id, it.reviews) for it in load_manifest(p).items]),
+    "history": (lambda n, p: save_history([{"epoch": e, "train_loss": 1.0 / (e + 1)}
+                                           for e in range(n)], p),
+                binfile.read_text),
+}
+
+
+@pytest.mark.parametrize("old,new", [(None, 2), (2, 3), (3, 2)],
+                         ids=["new-file", "overwrite-longer", "overwrite-shorter"])
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_write_fault_at_every_step_leaves_no_loadable_cut_file(
+        tmp_path, syscalls, artifact, old, new):
+    """A write that fails at any step (the NUL head, each body part, the cut,
+    the head) removes the file and raises IoError naming it.  One killed at
+    any step leaves a file the loader refuses with a DataError, or the old
+    file when no byte was written yet."""
+    save, load = ARTIFACTS[artifact]
+    path = tmp_path / "artifact"
+    versions = {}
+    for n in {old, new} - {None}:
+        save(n, path)
+        versions[n] = load(path)
+    path.unlink()
+
+    def restore():
+        if old is None:
+            path.unlink(missing_ok=True)
+        else:
+            save(old, path)
+        syscalls.log.clear()
+
+    restore()
+    save(new, path)
+    steps = len(syscalls.log)
+    assert steps >= 3 and (syscalls.log[-2][0] == "ftruncate") == (old == 3)
+    for k in range(steps):
+        restore()
+        syscalls.fail_at, syscalls.fault = k, OSError(errno.ENOSPC, "No space left on device")
+        with pytest.raises(IoError, match=re.escape(str(path))):
+            save(new, path)
+        syscalls.fail_at = None
+        assert not path.exists()
+        with pytest.raises(DataError):
+            load(path)
+
+        restore()
+        syscalls.fail_at, syscalls.fault = k, _Killed()
+        with pytest.raises(_Killed):
+            save(new, path)
+        syscalls.fail_at = None
+        if k == 0 and old is not None:
+            assert load(path) == versions[old]
+        else:
+            with pytest.raises(DataError):
+                load(path)

@@ -285,11 +285,13 @@ def test_feature_vectors_refuse_ids_that_are_not_text(tmp_path, bad):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.text(max_size=6), max_size=4))
 def test_feature_vectors_accepted_ids_round_trip(tmp_path_factory, ids):
-    """Any text ids are written, and read back unless one names two rows."""
+    """Any text ids are written and read back; ids where one names two rows
+    are refused before anything is written."""
     path = tmp_path_factory.mktemp("ids") / "f.mufv"
-    save_feature_vectors(np.zeros((len(ids), 1)), ids, path)
     if len(set(ids)) < len(ids):
         with pytest.raises(DuplicateId, match=re.escape(str(path))):
-            load_feature_vectors(path)
+            save_feature_vectors(np.zeros((len(ids), 1)), ids, path)
+        assert not path.exists()
     else:
+        save_feature_vectors(np.zeros((len(ids), 1)), ids, path)
         assert load_feature_vectors(path)[1] == ids
