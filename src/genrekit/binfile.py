@@ -8,25 +8,30 @@ after them.  A read fails with a ``DataError`` (CLI exit 3): ``IoError``,
 ``BadMagic``, ``TruncatedFile`` (checked before allocating),
 ``NonFiniteValue``, ``TrailingBytes``, or a string that is not UTF-8.
 
-``write`` rewrites a file in place, with its first bytes last: NUL over the
-first ``HEAD`` bytes, then the rest of the content, then a cut to the new
-length when the length differs, then the first ``HEAD`` bytes.  It never
-truncates first: freeing every block of a file and allocating it again made
-rewriting a data set's few hundred small files about ten times as slow as
-writing over them on ext4 with online discard, and a temp file renamed over
-the old one (a new inode each time) was slower still.  Until its last step
-a file under rewrite begins with NUL, or is a new file still empty, and no
-artifact does either: a frame fails its magic check (``BadMagic``) and
-``read_text`` refuses an empty file and any NUL.  So a write that fails at
-any step leaves no file (the failed step removes it; a failed open leaves
-the old file), and one killed at any step leaves the new file, the old one
-(killed before its first byte), or a file every loader refuses.  The order
-holds against a failed or killed writer, not against power loss: nothing is
-synced.  One file written and read at the same time is not supported.
+``write`` rewrites a regular file in place, with its first bytes last:
+NUL over the first ``HEAD`` bytes, then the rest of the content, then a cut
+to the new length when the old file was longer, then the first ``HEAD``
+bytes.  It never truncates first: freeing every block of a file and
+allocating it again made rewriting a data set's few hundred small files
+about ten times as slow as writing over them on ext4 with online discard,
+and a temp file renamed over the old one (a new inode each time) was slower
+still.  Until its last step a file under rewrite begins with NUL, or is a
+new file still empty, and no artifact does either: a frame fails its magic
+check (``BadMagic``), ``read_text`` refuses an empty file and any NUL, and
+``write_text`` writes empty text as one newline, which every line-based
+reader skips.  So a write that fails at any step leaves no file (the failed
+step removes it; a failed open leaves the old file), and one killed at any
+step leaves the new file, the old one (killed before its first byte), or a
+file every loader refuses.  The order holds against a failed or killed
+writer, not against power loss: nothing is synced.  A path that is not a
+regular file (``/dev/null``, a pipe, a terminal) is written front to back,
+as it comes, and never removed.  One file written and read at the same
+time is not supported.
 """
 
 import math
 import os
+import stat
 import struct
 from contextlib import contextmanager, suppress
 
@@ -72,8 +77,10 @@ def remove(path):
 
 
 def write_text(path, text):
-    """`text` as UTF-8; IoError if the file cannot be written."""
-    write(path, text.encode("utf-8"))
+    """`text` as UTF-8, empty text as one newline (so that no text artifact is
+    empty, as a new file whose write did not start is); IoError if the file
+    cannot be written."""
+    write(path, (text or "\n").encode("utf-8"))
 
 
 def fields(*values):
@@ -94,17 +101,21 @@ def strings(values):
 HEAD = 4  # bytes written last: a frame's magic, or a text's first bytes
 
 
-def _pwrite(fd, data, offset):
+def _write_all(fd, data, offset=None):
+    """All of `data` at `offset`, or at the file position if None."""
     while len(data):
-        n = os.pwrite(fd, data, offset)
-        data, offset = data[n:], offset + n
+        if offset is None:
+            data = data[os.write(fd, data):]
+        else:
+            n = os.pwrite(fd, data, offset)
+            data, offset = data[n:], offset + n
 
 
 def write(path, *parts):
     """Each part, the magic first: bytes as given, arrays in their own dtype
     and C order, written from their buffer (a copy only if not contiguous).
-    The file is rewritten in place, its first HEAD bytes last (see the module
-    docstring); if a step fails the file is removed and IoError raised."""
+    A regular file is rewritten in place, its first HEAD bytes last (see the
+    module docstring); if a step fails it is removed and IoError raised."""
     views = [memoryview(part) if isinstance(part, bytes)
              else memoryview(np.ascontiguousarray(part).reshape(-1).view(np.uint8))
              for part in parts]
@@ -114,22 +125,30 @@ def write(path, *parts):
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise IoError(f"{path}: cannot write: {exc}") from exc
+    old_size = None  # set for a regular file only: nothing else is removed
     try:
         try:
-            _pwrite(fd, bytes(len(head)), 0)
-            offset = 0
-            for view in views:
-                skip = min(len(view), max(0, HEAD - offset))
-                _pwrite(fd, view[skip:], offset + skip)
-                offset += len(view)
-            if os.fstat(fd).st_size != size:
-                os.ftruncate(fd, size)
-            _pwrite(fd, head, 0)
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                for view in views:
+                    _write_all(fd, view)
+            else:
+                old_size = st.st_size
+                _write_all(fd, bytes(len(head)), 0)
+                offset = 0
+                for view in views:
+                    skip = min(len(view), max(0, HEAD - offset))
+                    _write_all(fd, view[skip:], offset + skip)
+                    offset += len(view)
+                if old_size > size:
+                    os.ftruncate(fd, size)
+                _write_all(fd, head, 0)
         finally:
             os.close(fd)
     except OSError as exc:
-        with suppress(OSError):
-            os.remove(path)
+        if old_size is not None:
+            with suppress(OSError):
+                os.remove(path)
         raise IoError(f"{path}: cannot write: {exc}") from exc
 
 

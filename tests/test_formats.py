@@ -5,6 +5,8 @@ import errno
 import hashlib
 import os
 import re
+import stat
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -373,3 +375,57 @@ def test_write_fault_at_every_step_leaves_no_loadable_cut_file(
         else:
             with pytest.raises(DataError):
                 load(path)
+
+
+def _read_fifo(path):
+    """Starts a reader of the FIFO `path`; join() returns all it read."""
+    got = []
+    thread = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    thread.start()
+
+    def join():
+        thread.join(timeout=10)
+        return got[0]
+    return join
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "failing"])
+@pytest.mark.parametrize("kind", ["devnull-symlink", "fifo"])
+def test_a_path_that_is_not_a_regular_file_is_written_front_to_back_and_kept(
+        tmp_path, monkeypatch, syscalls, kind, fail):
+    """A device or pipe gets the content in order, with no cut and no NUL
+    head; a failed write raises IoError and leaves the path where it was."""
+    path = tmp_path / kind
+    if kind == "fifo":
+        os.mkfifo(path)
+        join = _read_fifo(path)
+    else:
+        path.symlink_to(os.devnull)
+    if fail:
+        def refuse(fd, data):
+            raise OSError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr(os, "write", refuse)
+        with pytest.raises(IoError, match=re.escape(str(path))):
+            binfile.write_text(path, "a\nb\n")
+    else:
+        binfile.write_text(path, "a\nb\n")
+    assert syscalls.log == []
+    if kind == "fifo":
+        assert join() == (b"" if fail else b"a\nb\n")
+        assert stat.S_ISFIFO(path.lstat().st_mode)
+    else:
+        assert path.is_symlink() and stat.S_ISCHR(path.stat().st_mode)
+
+
+def test_empty_text_artifacts_round_trip(tmp_path):
+    """No text artifact is empty, as a new file whose write did not start
+    is: empty text is written as one newline, and reads back as empty."""
+    binfile.write_text(tmp_path / "empty.txt", "")
+    assert (tmp_path / "empty.txt").read_bytes() == b"\n"
+    save_manifest(Manifest([], ""), tmp_path / "manifest.jsonl")
+    assert load_manifest(tmp_path / "manifest.jsonl").items == []
+    save_history([], tmp_path / "history.jsonl")
+    assert binfile.read_text(tmp_path / "history.jsonl").split() == []
+    (tmp_path / "cut.jsonl").write_bytes(b"")
+    with pytest.raises(DataError, match="empty file"):
+        load_manifest(tmp_path / "cut.jsonl")
