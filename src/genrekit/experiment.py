@@ -25,7 +25,7 @@ import numpy as np
 
 from . import audiofeat, binfile, labelspace, metrics, textfeat, zoo
 from .errors import ConfigError, ConfigInvalid, DataError
-from .nn import make_optimizer, save_model
+from .nn import make_optimizer
 from .pipeline import split
 
 FUSION_COSINE_DROPOUT = 0.7
@@ -332,8 +332,7 @@ def run_experiment(cfg, manifest, tax):
         histories["track"] = zoo.train(
             row_model, _Rows(x, np.flatnonzero(train_tracks)), track_targets[train_tracks],
             _Rows(x, np.flatnonzero(val_tracks)), track_targets[val_tracks],
-            _train_config(cfg, seed))
-        save_model(row_model, os.path.join(cfg.out_dir, "track_model.munn"))
+            _train_config(cfg, seed), os.path.join(cfg.out_dir, "track_model.munn"))
         x = album_features(row_model, x, album_of_track, cfg, len(manifest))
         seed += 1
 
@@ -343,9 +342,11 @@ def run_experiment(cfg, manifest, tax):
         dropout = (FUSION_COSINE_DROPOUT
                    if cfg.modality == "fusion" and cfg.target == "cosine" else 0.0)
         model = zoo.build_shallow(x.shape[1], n_out, cfg.target, dropout=dropout, seed=seed)
+    paths = {"model": os.path.join(cfg.out_dir, "model.munn")}
     histories["main" if album_of_track is None else "album"] = zoo.train(
         model, x[tr], _targets(setup, factor_model, cfg, tr),
-        x[va], _targets(setup, factor_model, cfg, va), _train_config(cfg, seed))
+        x[va], _targets(setup, factor_model, cfg, va), _train_config(cfg, seed),
+        paths["model"])
     feature_matrix = zoo.extract_features(model, x) if cfg.modality == "text" else x
     outputs = zoo.predict(model, x[te])
     if cfg.target == "cosine":
@@ -368,10 +369,7 @@ def run_experiment(cfg, manifest, tax):
         "c@5": report.coverage.get(5),
     }
 
-    # persist artifacts
-    paths = {}
-    paths["model"] = os.path.join(cfg.out_dir, "model.munn")
-    save_model(model, paths["model"])
+    # persist artifacts; zoo.train wrote the checkpoints
     paths["features"] = os.path.join(cfg.out_dir, "features.mufv")
     zoo.save_feature_vectors(feature_matrix, manifest.ids(), paths["features"])
     paths["predictions"] = os.path.join(cfg.out_dir, "predictions.mufv")

@@ -285,16 +285,19 @@ MODEL_MAGIC = b"MUNN"
 HEADER_KEYS = frozenset(("input_shape", "specs", "head", "seed"))
 
 
-def save_model(model, path):
-    """The JSON header as one string, then every parameter block as f64."""
-    header = json.dumps({
+def _header(model):
+    return json.dumps({
         "input_shape": list(model.input_shape),
         "specs": [layer.spec() for layer in model.layers],
         "head": model.head,
         "seed": model.seed,
     }, sort_keys=True)
+
+
+def save_model(model, path):
+    """The JSON header as one string, then every parameter block as f64."""
     params = [np.asarray(getattr(layer, attr), "<f8") for _, layer, attr in model.param_blocks()]
-    binfile.write(path, MODEL_MAGIC, *binfile.strings([header]), *params)
+    binfile.write(path, MODEL_MAGIC, *binfile.strings([_header(model)]), *params)
 
 
 def _read_header(text):
@@ -317,17 +320,24 @@ def _read_header(text):
     return args, header["seed"], _plan(*args)
 
 
-def load_model(path):
-    """The payload must hold exactly the parameters the header declares;
-    that is checked before any weight is allocated.  A header that declares
-    no valid graph is a ``BadModelHeader``: a corrupt checkpoint is input
-    data (``DataError``), not configuration."""
+def load_model(path, into=None):
+    """The model a checkpoint holds, or, given ``into``, that model with the
+    checkpoint's parameters written into its own arrays; the header must
+    then be the one ``save_model`` writes for ``into``.  The payload must
+    hold exactly the parameters the header declares; that is checked, and
+    the whole file read, before any weight is allocated or written.  A
+    header that declares no valid graph, or not ``into``'s, is a
+    ``BadModelHeader``: a corrupt checkpoint is input data (``DataError``),
+    not configuration."""
     with binfile.reader(path, MODEL_MAGIC) as frame:
+        text = frame.strings(1)[0]
         try:
-            args, seed, plan = _read_header(frame.strings(1)[0])
+            args, seed, plan = _read_header(text)
         except ConfigError as exc:
             raise BadModelHeader(f"{path}: {exc}") from exc
+        if into is not None and text != _header(into):
+            raise BadModelHeader(f"{path}: the header is not the model's own")
         arrays = [frame.array("<f8", block) for *_, blocks in plan for block in blocks]
-    model = ModelGraph(*args, seed)
+    model = into if into is not None else ModelGraph(*args, seed)
     model.set_params(arrays)
     return model

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import binfile
 from .errors import ConfigInvalid, DuplicateId, EmptyAlbum, MissingModality, NonFiniteLoss
-from .nn import ModelGraph, make_optimizer
+from .nn import ModelGraph, load_model, make_optimizer, save_model
 
 LOW_WIDTHS = (64, 128, 128, 64)
 HIGH_WIDTHS = (256, 512, 1024, 1024)
@@ -142,21 +142,31 @@ def _epoch_loss(model, x, y, batch_size):
     return total / m
 
 
-def train(model, x_train, y_train, x_val=None, y_val=None, config=None):
+def train(model, x_train, y_train, x_val=None, y_val=None, config=None, checkpoint=None):
     """Mini-batch training with early stopping on validation loss.
 
-    Returns a history list of {epoch, train_loss, val_loss, seconds};
-    the model ends up holding the best-validation parameters (or the final
-    ones when no validation set is given).  Inputs are read only through
-    ``shape`` and indexing by an index array or a slice.
+    Returns a history list of {epoch, train_loss, val_loss, seconds}; an
+    epoch's seconds include its validation and its snapshot.  The checkpoint
+    file (``save_model``) is the only best-validation snapshot: it is
+    rewritten at each validation improvement, so validation rows need a
+    ``checkpoint`` (ConfigInvalid otherwise).  On return the model holds
+    the best-validation parameters (or the final ones when no validation
+    rows are given) and ``checkpoint``, if given, holds exactly them: when
+    the last epoch was not the best, the optimizer's state is dropped and
+    the checkpoint read back into the model's own arrays, and when no
+    snapshot was written the checkpoint is written once at the end.
+    Inputs are read only through ``shape`` and indexing by an index array
+    or a slice.
     """
     config = config or TrainConfig()
+    validate = x_val is not None and x_val.shape[0] > 0
+    if validate and checkpoint is None:
+        raise ConfigInvalid("validation rows need a checkpoint to hold the best epoch")
     optimizer = make_optimizer(config.optimizer)
     m = x_train.shape[0]
     history = []
     best_val = np.inf
-    best_params = None
-    stale = 0
+    stale = 0  # epochs since the best
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         rng = np.random.default_rng([config.seed, epoch])
@@ -176,29 +186,25 @@ def train(model, x_train, y_train, x_val=None, y_val=None, config=None):
         train_loss = running / m
         record = {"epoch": epoch, "train_loss": train_loss,
                   "val_loss": None, "seconds": time.perf_counter() - t0}
-        if x_val is not None and x_val.shape[0] > 0:
+        history.append(record)
+        if validate:
             val_loss = _epoch_loss(model, x_val, y_val, config.batch_size)
             if not np.isfinite(val_loss):
                 raise NonFiniteLoss(f"epoch {epoch}: val loss={val_loss}")
             record["val_loss"] = val_loss
             if val_loss < best_val - 1e-12:
-                best_val = val_loss
-                if best_params is None:
-                    best_params = model.get_params()
-                else:  # overwrite the snapshot rather than allocate another
-                    for snap, (param, _) in zip(best_params, model.params_and_grads()):
-                        np.copyto(snap, param)
-                stale = 0
+                best_val, stale = val_loss, 0
+                save_model(model, checkpoint)
             else:
                 stale += 1
             record["seconds"] = time.perf_counter() - t0
-            history.append(record)
             if stale > config.patience:
                 break
-        else:
-            history.append(record)
-    if best_params is not None:
-        model.set_params(best_params)
+    if best_val == np.inf and checkpoint is not None:  # no snapshot written
+        save_model(model, checkpoint)
+    elif stale:  # the last epoch was not the best
+        del optimizer  # Adam's moments are twice the weights: free them before the read
+        load_model(checkpoint, into=model)
     return history
 
 

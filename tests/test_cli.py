@@ -11,7 +11,7 @@ from genrekit.experiment import ExperimentConfig, prepare_labels, run_experiment
 from genrekit.labelspace import load_taxonomy
 from genrekit.pipeline import SynthSpec, load_manifest, save_manifest, synth_dataset
 from genrekit.zoo import FEATURE_MAGIC, save_feature_vectors
-from test_experiment import fusion_feature_files
+from test_experiment import BEST_NOT_LAST, fail_second_checkpoint_write, fusion_feature_files
 
 
 def test_synth_and_factorize(tmp_path, capsys):
@@ -376,3 +376,14 @@ def test_image_vector_file_must_hold_its_album(tmp_path, capsys, case):
                  "--out", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert victim.image_vec in err and "Traceback" not in err
+
+
+def test_train_exits_3_when_a_snapshot_write_fails(tmp_path, capsys, tiny_ds, monkeypatch):
+    cfg = _write(tmp_path / "cfg.json", json.dumps(BEST_NOT_LAST))
+    failed = fail_second_checkpoint_write(monkeypatch)
+    run = tmp_path / "run"
+    assert main(["train", *tiny_ds, "--config", cfg, "--out", str(run)]) == 3
+    assert failed
+    err = capsys.readouterr().err
+    assert "model.munn" in err and "Traceback" not in err
+    assert not (run / "row.json").exists() and not (run / "model.munn").exists()

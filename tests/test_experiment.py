@@ -1,20 +1,23 @@
+import errno
 import json
 import os
 
 import numpy as np
 import pytest
 
-from genrekit import zoo
+from genrekit import binfile, zoo
 from genrekit.errors import ConfigError, ConfigInvalid, IoError
 from genrekit.experiment import (
     ExperimentConfig,
     fit_factors,
     format_params,
+    model_inputs,
     prepare_labels,
     report_table,
     run_experiment,
     text_corpus,
 )
+from genrekit.nn import load_model
 
 
 # ------------------------------------------------------------- configuration
@@ -236,6 +239,59 @@ def test_run_experiment_writes_row_json_last(small_dataset, tmp_path, monkeypatc
         run_cheap(small_dataset, tmp_path, epochs=2)
     assert os.path.exists(first["paths"]["report"])
     assert not os.path.exists(first["paths"]["row"])
+
+
+# a text row whose validation loss is best at epoch 1 of 3, so its
+# checkpoint is written twice and then read back
+BEST_NOT_LAST = dict(modality="text", settings="vsm", vocab_size=200, epochs=3, patience=5,
+                     optimizer={"kind": "adam", "lr": 1e-2})
+
+
+def test_checkpoint_reproduces_the_predictions_when_the_best_epoch_is_not_the_last(
+        small_dataset, tmp_path):
+    result = run_cheap(small_dataset, tmp_path, **BEST_NOT_LAST)
+    val_losses = [json.loads(line)["val_loss"]
+                  for line in open(result["paths"]["history_main"])]
+    assert int(np.argmin(val_losses)) == 1 < len(val_losses) - 1
+    manifest, _ = small_dataset
+    cfg = result["config"]
+    setup = prepare_labels(manifest, small_dataset[1], cfg.seed, cfg.min_label_support)
+    x, _ = model_inputs(cfg, manifest, setup)
+    scores, ids = zoo.load_feature_vectors(result["paths"]["predictions"])
+    assert ids == [manifest.ids()[i] for i in setup.idx["test"]]
+    got = zoo.predict(load_model(result["paths"]["model"]), x[setup.idx["test"]])
+    np.testing.assert_array_equal(got, scores)
+
+
+def fail_second_checkpoint_write(monkeypatch, name="model.munn"):
+    """Make the second write of a file named ``name`` fail at its first
+    ``os.pwrite``, as a full disk would.  Returns the list of failures."""
+    opened, failed = [], []
+    real_write, real_pwrite = binfile.write, os.pwrite
+
+    def write(path, *parts):
+        opened.append(os.path.basename(path))
+        return real_write(path, *parts)
+
+    def pwrite(fd, data, offset):
+        if opened[-1] == name and opened.count(name) == 2:
+            failed.append(name)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(binfile, "write", write)
+    monkeypatch.setattr(os, "pwrite", pwrite)
+    return failed
+
+
+def test_a_failed_snapshot_write_leaves_no_row_and_no_checkpoint(
+        small_dataset, tmp_path, monkeypatch):
+    failed = fail_second_checkpoint_write(monkeypatch)
+    with pytest.raises(IoError, match="model.munn"):
+        run_cheap(small_dataset, tmp_path, **BEST_NOT_LAST)
+    assert failed
+    assert not (tmp_path / "run" / "row.json").exists()
+    assert not (tmp_path / "run" / "model.munn").exists()
 
 
 # -------------------------------------------------------------------- report

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genrekit import binfile
+from genrekit import binfile, kernels, zoo
 from genrekit.cli import main
 from genrekit.errors import (
     BadMagic,
+    BadModelHeader,
     ConfigInvalid,
     DataError,
     DuplicateId,
@@ -17,7 +18,7 @@ from genrekit.errors import (
     MissingModality,
     NonFiniteLoss,
 )
-from genrekit.nn import ModelGraph, make_optimizer
+from genrekit.nn import ModelGraph, load_model, make_optimizer, save_model
 from genrekit.zoo import (
     AudioCnnConfig,
     TrainConfig,
@@ -123,20 +124,21 @@ def test_train_zero_epochs_leaves_params_untouched():
         assert (a == b).all()
 
 
-def test_train_early_stopping_restores_best():
+def test_train_early_stopping_restores_best(tmp_path):
     x, y = make_toy(n=60)
     xv, yv = x[:20], y[:20]
     model = build_shallow(6, 3, "logistic", seed=3)
     history = train(model, x[20:], y[20:], xv, yv,
                     config=TrainConfig(epochs=40, batch_size=8, patience=2,
                                        seed=4,
-                                       optimizer={"kind": "adam", "lr": 0.05}))
+                                       optimizer={"kind": "adam", "lr": 0.05}),
+                    checkpoint=tmp_path / "best.munn")
     best = min(r["val_loss"] for r in history)
     from genrekit.zoo import _epoch_loss
     assert _epoch_loss(model, xv, yv, 8) == pytest.approx(best, abs=1e-12)
 
 
-def test_train_restores_best_epoch_bit_for_bit():
+def test_train_restores_best_epoch_bit_for_bit(tmp_path):
     """The best-validation snapshot, overwritten at each improvement, is
     the parameters a run stopped after the best epoch ends with."""
     x, y = make_toy(n=60)
@@ -146,7 +148,8 @@ def test_train_restores_best_epoch_bit_for_bit():
                            {"kind": "logistic", "dim": 3}, seed=3)
         history = train(model, x[20:], y[20:], *val,
                         config=TrainConfig(epochs=epochs, batch_size=8, patience=2, seed=4,
-                                           optimizer={"kind": "adam", "lr": 0.1}))
+                                           optimizer={"kind": "adam", "lr": 0.1}),
+                        checkpoint=tmp_path / f"{epochs}.munn")
         return model, history
 
     model, history = run(40, (x[:20], y[:20]))
@@ -156,6 +159,90 @@ def test_train_restores_best_epoch_bit_for_bit():
     reference, _ = run(best + 1, ())
     for got, want in zip(model.get_params(), reference.get_params()):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["best-not-last", "no-validation", "zero-epochs"])
+def test_train_leaves_the_checkpoint_holding_the_models_parameters(tmp_path, case):
+    """On return the checkpoint holds exactly the model's parameters: read
+    back into the model's own arrays when the last epoch was not the best,
+    written once at the end when no snapshot was written."""
+    x, y = make_toy(n=60)
+    model = ModelGraph((6,), [{"kind": "dense", "out": 5}, {"kind": "relu"}],
+                       {"kind": "logistic", "dim": 3}, seed=3)
+    arrays = [id(p) for p, _ in model.params_and_grads()]
+    val = (x[:20], y[:20]) if case == "best-not-last" else ()
+    epochs = 0 if case == "zero-epochs" else 40
+    history = train(model, x[20:], y[20:], *val,
+                    config=TrainConfig(epochs=epochs, batch_size=8, patience=2, seed=4,
+                                       optimizer={"kind": "adam", "lr": 0.1}),
+                    checkpoint=tmp_path / "m.munn")
+    if case == "best-not-last":
+        val_losses = [r["val_loss"] for r in history]
+        assert np.argmin(val_losses) < len(history) - 1
+    assert [id(p) for p, _ in model.params_and_grads()] == arrays
+    for got, want in zip(load_model(tmp_path / "m.munn").get_params(), model.get_params(),
+                         strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_train_refuses_validation_rows_without_a_checkpoint():
+    x, y = make_toy()
+    with pytest.raises(ConfigInvalid, match="checkpoint"):
+        train(build_shallow(6, 3, "logistic", seed=1), x[10:], y[10:], x[:10], y[:10],
+              config=TrainConfig(epochs=1))
+
+
+def test_restore_refuses_another_graphs_checkpoint(tmp_path, monkeypatch):
+    """A checkpoint overwritten with another graph's before the restore is
+    a BadModelHeader (exit 3), and no parameter of the model is touched."""
+    x, y = make_toy(n=60)
+    path = tmp_path / "m.munn"
+    model = build_shallow(6, 3, "logistic", seed=3)
+    before = []
+
+    def swap_then_load(checkpoint, into=None):
+        before[:] = into.get_params()
+        save_model(build_shallow(6, 4, "logistic", seed=3), checkpoint)
+        return load_model(checkpoint, into=into)
+
+    monkeypatch.setattr(zoo, "load_model", swap_then_load)
+    with pytest.raises(BadModelHeader, match="not the model's own"):
+        train(model, x[20:], y[20:], x[:20], y[:20],
+              config=TrainConfig(epochs=40, batch_size=8, patience=2, seed=4,
+                                 optimizer={"kind": "adam", "lr": 0.1}),
+              checkpoint=path)
+    assert before and all((p == q).all() for p, q in zip(model.get_params(), before))
+
+
+def test_train_holds_no_best_validation_snapshot_in_memory(tmp_path):
+    """A ~1M-parameter MLP trained with Adam and validation, its best epoch
+    not its last: inside ``train`` the traced peak stays below 2.5x the
+    parameter bytes.  Adam's two moments are 2x; a snapshot in memory would
+    add 1x, and the restore reads the checkpoint only after the moments are
+    freed.  One worker thread keeps the step's scratch at one span slot."""
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(48, 256))
+    y = rng.integers(0, 2, size=(48, 4)).astype(float)
+    model = ModelGraph((256,), [{"kind": "dense", "out": 1024}, {"kind": "relu"},
+                                {"kind": "dense", "out": 768}, {"kind": "relu"}],
+                       {"kind": "logistic", "dim": 4}, seed=0)
+    param_bytes = 8 * model.n_params()
+    kernels._set_workers(1)
+    tracemalloc.start()
+    try:
+        history = train(model, x[16:], y[16:], x[:16], y[:16],
+                        config=TrainConfig(epochs=4, batch_size=8, patience=4, seed=1,
+                                           optimizer={"kind": "adam", "lr": 0.03}),
+                        checkpoint=tmp_path / "m.munn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        kernels._set_workers(None)
+    val_losses = [r["val_loss"] for r in history]
+    assert np.argmin(val_losses) < len(history) - 1  # the restore ran
+    assert 1e6 < model.n_params() < 1.1e6
+    assert peak < 2.5 * param_bytes
 
 
 def test_train_raises_on_nonfinite_loss():
