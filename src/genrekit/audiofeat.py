@@ -49,7 +49,11 @@ def save_spectrogram(spec, path):
 
 
 def load_spectrogram(path):
-    return Spectrogram(_read_matrix(path, SPECTROGRAM_MAGIC))
+    """StatsDimensionMismatch for a spectrogram without a bin or a frame."""
+    values = _read_matrix(path, SPECTROGRAM_MAGIC)
+    if 0 in values.shape:
+        raise StatsDimensionMismatch(f"{path}: spectrogram of shape {values.shape} is empty")
+    return Spectrogram(values)
 
 
 def save_timbre(values, path):

@@ -110,8 +110,8 @@ def cmd_fuse(args):
         vectors[mod] = mat
     fused = zoo.fuse(vectors, list(vectors))
     out = args.out or "fused.mufv"
-    zoo.save_feature_vectors(fused.matrix, ids, out)
-    print(f"wrote {out}: {fused.matrix.shape[0]} x {fused.matrix.shape[1]}")
+    zoo.save_feature_vectors(fused, ids, out)
+    print(f"wrote {out}: {fused.shape[0]} x {fused.shape[1]}")
 
 
 def cmd_evaluate(args):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import audiofeat, binfile, labelspace, metrics, textfeat, zoo
-from .errors import ConfigError, ConfigInvalid, DataError
+from .errors import ConfigError, ConfigInvalid, DataError, EmptyAlbum, StatsDimensionMismatch
 from .nn import make_optimizer
 from .pipeline import split
 
@@ -169,7 +169,7 @@ def text_features(manifest, cfg, trainval_positions):
     corpus = text_corpus(manifest, cfg)
     vocab = textfeat.build_vocabulary(
         [corpus[i] for i in trainval_positions], cfg.vocab_size)
-    return textfeat.tfidf(corpus, vocab).matrix, vocab
+    return textfeat.tfidf(corpus, vocab), vocab
 
 
 def _timbre_inputs(cfg, manifest, setup):
@@ -183,8 +183,17 @@ def _timbre_inputs(cfg, manifest, setup):
     return _column_standardize(np.asarray(out), setup.idx["train"]), None
 
 
+def _same_size(first, path, n, unit):
+    """StatsDimensionMismatch unless ``n`` is the size in ``first``, the
+    (path, size) pair of the first file read (None before it); returns the
+    pair to keep."""
+    if first is not None and n != first[1]:
+        raise StatsDimensionMismatch(f"{path}: {n} {unit}, but {first[0]} has {first[1]}")
+    return first or (path, n)
+
+
 def _image_inputs(cfg, manifest, setup):
-    out = []
+    out, first = [], None
     for it in manifest.items:
         if not it.image_vec:
             raise DataError(f"item {it.id!r} has no image vector")
@@ -193,18 +202,22 @@ def _image_inputs(cfg, manifest, setup):
         if ids != [it.id]:
             raise DataError(f"{path}: image vector ids {ids!r}, expected one row "
                             f"for album {it.id!r}")
+        first = _same_size(first, path, mat.shape[1], "columns")
         out.append(mat[0])
     return _column_standardize(np.asarray(out), setup.idx["train"]), None
 
 
 def audio_patches(manifest, cfg):
-    """One seeded patch per track. Returns (patches, album position per track)."""
+    """One seeded patch per track. Returns (patches, album position per track);
+    StatsDimensionMismatch if two tracks differ in their bin count."""
     patches = []
     album_of_track = []
-    counter = 0
+    counter, first = 0, None
     for pos, it in enumerate(manifest.items):
         for rel in it.tracks:
-            spec = audiofeat.load_spectrogram(manifest.resolve(rel))
+            path = manifest.resolve(rel)
+            spec = audiofeat.load_spectrogram(path)
+            first = _same_size(first, path, spec.n_bins, "bins")
             rng = np.random.default_rng([cfg.seed, 7, counter])
             patches.append(audiofeat.sample_patch(spec, cfg.patch_width, rng))
             album_of_track.append(pos)
@@ -221,6 +234,9 @@ def _column_standardize(features, train_positions):
 
 
 def _audio_inputs(cfg, manifest, setup):
+    for it in manifest.items:
+        if not it.tracks:
+            raise EmptyAlbum(f"album {it.id!r} has no audio tracks")
     patches, album_of_track = audio_patches(manifest, cfg)
     stats = audiofeat.fit_bin_stats(patches[np.isin(album_of_track, setup.idx["train"])])
     return audiofeat.standardize(patches, stats)[:, None, :, :], album_of_track
@@ -240,7 +256,7 @@ def _fusion_inputs(cfg, manifest, setup):
         if ids != manifest.ids():
             raise DataError(f"feature file {path!r} ids do not match the manifest")
         vectors[mod] = mat
-    return zoo.fuse(vectors, cfg.fusion_modalities).matrix, None
+    return zoo.fuse(vectors, cfg.fusion_modalities), None
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,15 @@ blocks on it.  ``matmul`` runs a product whose right-hand column halves
 hold at least ``SPLIT / 2`` elements each as those two halves, written
 into one output; each half gives the bits of those columns of the whole
 product, where a split of the batch rows would not.
+
+The pool is the only parallelism: importing this module sets numpy's bundled
+OpenBLAS to one thread, process-wide and whatever ``OPENBLAS_NUM_THREADS``
+says, so a host program importing genrekit gets one-thread BLAS too (threaded
+BLAS under the pool ran slower on two CPUs and changed bits).  Without that
+OpenBLAS (numpy 1.x, MKL, a system BLAS) it does nothing.
 """
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +71,9 @@ SPLIT = 1 << 20  # matmul splits b where each column half holds at least SPLIT/2
 _workers = None  # threads a call may use; None: one per usable CPU, at most MAX_WORKERS
 _pool = None  # the _workers - 1 pool threads, built by the first call that needs them
 _pool_lock = threading.Lock()
+_blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+if hasattr(_blas, "scipy_openblas_set_num_threads64_"):
+    _blas.scipy_openblas_set_num_threads64_(1)
 
 
 def _set_workers(n):

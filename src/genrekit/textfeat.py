@@ -65,35 +65,27 @@ def build_vocabulary(corpus, max_size=DEFAULT_VOCAB_SIZE):
                       np.array([df[t] for t in ranked], dtype=np.int64))
 
 
-@dataclass
-class TfIdfMatrix:
-    matrix: np.ndarray  # (m, |V|) float64, rows l2-normalized
-    zero_rows: list[int]  # all-OOV documents, left as zero rows
-
-
 def tfidf(corpus, vocab):
-    """Smoothed tf-idf: count * (ln((1+m)/(1+df)) + 1), rows l2-normalized."""
+    """Smoothed tf-idf: count * (ln((1+m)/(1+df)) + 1) as an (m, |V|)
+    float64 matrix, rows l2-normalized; an all-OOV document is a zero row."""
     if len(vocab) == 0:
         raise EmptyCorpus("empty vocabulary")
     m = len(corpus)
     idf = np.log((1.0 + m) / (1.0 + vocab.doc_freq)) + 1.0
     mat = np.zeros((m, len(vocab)))
-    zero_rows = []
     for i, tokens in enumerate(corpus):
         counts = {}
         for t in tokens:
             j = vocab.index.get(t)
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
-        if not counts:
-            zero_rows.append(i)
         row = sorted(counts)
         vals = np.array([counts[j] * idf[j] for j in row])
         norm = np.linalg.norm(vals)
         if norm > 0:
             vals /= norm
         mat[i, row] = vals
-    return TfIdfMatrix(mat, zero_rows)
+    return mat
 
 
 def _entropy_bits(counts):

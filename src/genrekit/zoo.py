@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binfile
-from .errors import ConfigInvalid, DuplicateId, EmptyAlbum, MissingModality, NonFiniteLoss
+from .errors import (ConfigInvalid, DuplicateId, EmptyAlbum, MissingModality, NonFiniteLoss,
+                     TooFewItems)
 from .nn import ModelGraph, load_model, make_optimizer, save_model
 
 LOW_WIDTHS = (64, 128, 128, 64)
@@ -155,15 +156,17 @@ def train(model, x_train, y_train, x_val=None, y_val=None, config=None, checkpoi
     the last epoch was not the best, the optimizer's state is dropped and
     the checkpoint read back into the model's own arrays, and when no
     snapshot was written the checkpoint is written once at the end.
-    Inputs are read only through ``shape`` and indexing by an index array
-    or a slice.
+    TooFewItems if there is no training row.  Inputs are read only through
+    ``shape`` and indexing by an index array or a slice.
     """
     config = config or TrainConfig()
     validate = x_val is not None and x_val.shape[0] > 0
     if validate and checkpoint is None:
         raise ConfigInvalid("validation rows need a checkpoint to hold the best epoch")
-    optimizer = make_optimizer(config.optimizer)
     m = x_train.shape[0]
+    if m == 0:
+        raise TooFewItems("no training rows")
+    optimizer = make_optimizer(config.optimizer)
     history = []
     best_val = np.inf
     stale = 0  # epochs since the best
@@ -240,31 +243,22 @@ def average_tracks(track_vectors_by_album):
 
 # -------------------------------------------------------------------- fusion
 
-@dataclass
-class FusionInput:
-    matrix: np.ndarray  # (m, sum of block dims)
-    blocks: dict  # modality -> slice
-    zero_rows: dict  # modality -> list of item indices with zero vectors
-
-
 def _l2_rows(mat):
     norms = np.linalg.norm(mat, axis=1)
     out = mat.copy()
     ok = norms > 0
     out[ok] /= norms[ok, None]
-    return out, np.nonzero(~ok)[0].tolist()
+    return out
 
 
 def fuse(modality_vectors, selection=MODALITY_ORDER):
-    """Concatenate l2-normalized modality blocks in fixed A, T, I order."""
+    """Concatenate l2-normalized modality blocks in fixed A, T, I order into
+    one (m, sum of block widths) matrix; a zero row stays zero."""
     selection = [m for m in MODALITY_ORDER if m in selection]
     if not selection:
         raise ConfigInvalid("empty modality selection")
-    blocks = {}
-    zero_rows = {}
     parts = []
     n_items = None
-    offset = 0
     for mod in selection:
         if mod not in modality_vectors or modality_vectors[mod] is None:
             raise MissingModality(f"modality {mod!r} not available")
@@ -273,12 +267,8 @@ def fuse(modality_vectors, selection=MODALITY_ORDER):
             n_items = mat.shape[0]
         elif mat.shape[0] != n_items:
             raise MissingModality(f"modality {mod!r} covers {mat.shape[0]} of {n_items} items")
-        normed, zeros = _l2_rows(mat)
-        parts.append(normed)
-        blocks[mod] = slice(offset, offset + mat.shape[1])
-        zero_rows[mod] = zeros
-        offset += mat.shape[1]
-    return FusionInput(np.concatenate(parts, axis=1), blocks, zero_rows)
+        parts.append(_l2_rows(mat))
+    return np.concatenate(parts, axis=1)
 
 
 # ------------------------------------------------------------- serialization

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from genrekit import binfile
+from genrekit.audiofeat import Spectrogram, save_spectrogram
 from genrekit.cli import main
 from genrekit.experiment import ExperimentConfig, prepare_labels, run_experiment
 from genrekit.labelspace import load_taxonomy
@@ -387,3 +388,51 @@ def test_train_exits_3_when_a_snapshot_write_fails(tmp_path, capsys, tiny_ds, mo
     err = capsys.readouterr().err
     assert "model.munn" in err and "Traceback" not in err
     assert not (run / "row.json").exists() and not (run / "model.munn").exists()
+
+
+AUDIO_ROW = {"modality": "audio", "settings": "low-4x70", "patch_width": 16, "batch_size": 8,
+             "epochs": 1}
+
+
+def _audio_ds(tmp_path):
+    ds = tmp_path / "ds"
+    manifest, _ = synth_dataset(SynthSpec(n_top_genres=2, subs_per_genre=2, albums=12,
+                                          tracks_per_album=1, seed=3, n_bins=16,
+                                          min_frames=20, max_frames=30, image_dim=4), ds)
+    return manifest, ["--manifest", str(ds / "manifest.jsonl"),
+                      "--taxonomy", str(ds / "taxonomy.txt")]
+
+
+def test_train_refuses_albums_without_tracks_before_training(tmp_path, capsys):
+    """An audio row whose training albums have no track exits 3, not with a
+    division by zero after the CNN's bin statistics went NaN."""
+    manifest, inputs = _audio_ds(tmp_path)
+    tax = load_taxonomy(inputs[3])
+    for i in prepare_labels(manifest, tax, ExperimentConfig().seed).idx["train"]:
+        manifest.items[i].tracks = []
+    save_manifest(manifest, inputs[1])
+    cfg = _write(tmp_path / "cfg.json", json.dumps(AUDIO_ROW))
+    assert main(["train", *inputs, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "no audio tracks" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["other-bin-count", "no-frames", "image-width"])
+def test_train_refuses_ragged_inputs(tmp_path, capsys, case):
+    """One spectrogram with another bin count or no frame, or one image
+    vector of another width, is refused naming its file (exit 3)."""
+    manifest, inputs = _audio_ds(tmp_path)
+    victim = manifest.items[3]
+    if case == "image-width":
+        path = manifest.resolve(victim.image_vec)
+        save_feature_vectors(np.ones((1, 5)), [victim.id], path)
+        row = {"modality": "image", "settings": "ingested", "epochs": 1}
+    else:
+        path = manifest.resolve(victim.tracks[0])
+        shape = (12, 20) if case == "other-bin-count" else (16, 0)
+        save_spectrogram(Spectrogram(np.ones(shape)), path)
+        row = AUDIO_ROW
+    cfg = _write(tmp_path / "cfg.json", json.dumps(row))
+    assert main(["train", *inputs, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err

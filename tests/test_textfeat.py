@@ -96,10 +96,9 @@ def tfidf_oracle(corpus, vocab):
 def test_tfidf_matches_oracle():
     corpus = [["aa", "bb", "aa"], ["bb", "cc"], ["aa"], []]
     vocab = build_vocabulary([c for c in corpus if c], max_size=10)
-    result = tfidf(corpus, vocab)
-    np.testing.assert_allclose(result.matrix,
-                               tfidf_oracle(corpus, vocab), atol=1e-12)
-    assert result.zero_rows == [3]
+    mat = tfidf(corpus, vocab)
+    np.testing.assert_allclose(mat, tfidf_oracle(corpus, vocab), atol=1e-12)
+    assert np.flatnonzero(~mat.any(axis=1)).tolist() == [3]
 
 
 def test_tfidf_rows_unit_norm():
@@ -108,7 +107,7 @@ def test_tfidf_rows_unit_norm():
     corpus = [[words[int(rng.integers(0, 20))] for _ in range(int(rng.integers(1, 15)))]
               for _ in range(30)]
     vocab = build_vocabulary(corpus, max_size=15)
-    mat = tfidf(corpus, vocab).matrix
+    mat = tfidf(corpus, vocab)
     norms = np.sqrt((mat * mat).sum(axis=1))
     nz = norms > 0
     np.testing.assert_allclose(norms[nz], 1.0, atol=1e-12)
@@ -116,9 +115,8 @@ def test_tfidf_rows_unit_norm():
 
 def test_tfidf_oov_document_is_zero_row():
     vocab = build_vocabulary([["aa"]], max_size=1)
-    result = tfidf([["zz", "qq"]], vocab)
-    assert result.zero_rows == [0]
-    assert np.count_nonzero(result.matrix) == 0
+    mat = tfidf([["zz", "qq"]], vocab)
+    assert mat.shape == (1, 1) and np.count_nonzero(mat) == 0
 
 
 # ----------------------------------------------------------- information gain
