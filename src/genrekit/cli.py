@@ -60,7 +60,7 @@ def cmd_synth(args):
 def cmd_factorize(args):
     manifest, tax = _load_inputs(args)
     cfg = _config(args, seed=args.seed, d=args.d)
-    setup = experiment.prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
+    setup = experiment.prepare_labels(manifest, tax, cfg.seed)
     model = experiment.fit_factors(setup, cfg.d)
     out = args.out or "factors.muf"
     labelspace.save_factor_model(model, out)
@@ -82,7 +82,7 @@ def cmd_extract(args):
     if model.seed != cfg.seed:  # the inputs would be refit on another split
         raise ConfigError(f"{args.model} was trained with seed {model.seed}, "
                           f"but the config seed is {cfg.seed}")
-    setup = experiment.prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
+    setup = experiment.prepare_labels(manifest, tax, cfg.seed)
     inputs, album_of_track = experiment.model_inputs(cfg, manifest, setup)
     mat = experiment.album_features(model, inputs, album_of_track, cfg, len(manifest))
     out = args.out or "features.mufv"
@@ -91,24 +91,15 @@ def cmd_extract(args):
 
 
 def cmd_fuse(args):
-    vectors = {}
-    ids = None
+    files = {}
     for spec in args.inputs:
         if "=" not in spec:
             raise ConfigError("fuse inputs look like A=path.mufv")
         mod, path = spec.split("=", 1)
-        if mod not in zoo.MODALITY_ORDER:
-            raise ConfigError(f"unknown modality {mod!r} in {spec!r}; "
-                              f"use {', '.join(zoo.MODALITY_ORDER)}")
-        if mod in vectors:
+        if mod in files:
             raise ConfigError(f"modality {mod!r} given more than once")
-        mat, file_ids = zoo.load_feature_vectors(path)
-        if ids is None:
-            ids = file_ids
-        elif ids != file_ids:
-            raise DataError(f"{path}: item ids differ between feature files")
-        vectors[mod] = mat
-    fused = zoo.fuse(vectors, list(vectors))
+        files[mod] = path
+    fused, ids = zoo.fuse_files(files)
     out = args.out or "fused.mufv"
     zoo.save_feature_vectors(fused, ids, out)
     print(f"wrote {out}: {fused.shape[0]} x {fused.shape[1]}")
@@ -117,7 +108,7 @@ def cmd_fuse(args):
 def cmd_evaluate(args):
     manifest, tax = _load_inputs(args)
     cfg = _config(args, seed=args.seed)
-    setup = experiment.prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
+    setup = experiment.prepare_labels(manifest, tax, cfg.seed)
     scores, ids = zoo.load_feature_vectors(args.predictions)
     pos = {item_id: i for i, item_id in enumerate(manifest.ids())}
     unknown = [i for i in ids if i not in pos]

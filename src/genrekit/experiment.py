@@ -16,6 +16,8 @@ on train+validation; test items never contribute their labels to anything
 but the final metrics.
 """
 
+import collections
+import dataclasses
 import json
 import os
 from collections.abc import Callable
@@ -30,8 +32,7 @@ from .pipeline import split
 
 FUSION_COSINE_DROPOUT = 0.7
 # integer fields and their least valid value
-_INT_FIELD_MINIMA = {"d": 1, "seed": 0, "min_label_support": 1, "patch_width": 1,
-                     "vocab_size": 1, "truncate_chars": 1, "batch_size": 1, "epochs": 1,
+_INT_FIELD_MINIMA = {"d": 1, "seed": 0, "patch_width": 1, "batch_size": 1, "epochs": 1,
                      "patience": 1}
 
 
@@ -40,14 +41,10 @@ class ExperimentConfig:
     modality: str = "text"
     target: str = "logistic"
     settings: str = "vsm"
-    fusion_modalities: list = field(default_factory=lambda: ["A", "T", "I"])
-    feature_files: dict = field(default_factory=dict)  # "A"/"T"/"I" -> MUFV path
+    feature_files: dict = field(default_factory=dict)  # fusion: "A"/"T"/"I" -> MUFV path
     d: int = 50
     seed: int = 42
-    min_label_support: int = 1
     patch_width: int = audiofeat.DEFAULT_PATCH_WIDTH
-    vocab_size: int = textfeat.DEFAULT_VOCAB_SIZE
-    truncate_chars: int = textfeat.DEFAULT_TRUNCATE
     batch_size: int = 32
     epochs: int = 50
     patience: int = 5
@@ -71,13 +68,11 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{name} must be an integer >= {least}, got {value!r}")
         files = self.feature_files
         if not isinstance(files, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in files.items()):
-            raise ConfigInvalid(f"feature_files must map strings to paths, got {files!r}")
-        mods = self.fusion_modalities
-        if (not isinstance(mods, list) or not all(m in zoo.MODALITY_ORDER for m in mods)
-                or len(set(mods)) != len(mods)):
-            raise ConfigInvalid(f"fusion_modalities must be distinct letters from "
-                                f"{', '.join(zoo.MODALITY_ORDER)}, got {mods!r}")
+                k in zoo.MODALITY_ORDER and isinstance(v, str) for k, v in files.items()):
+            raise ConfigInvalid(f"feature_files must map letters from "
+                                f"{', '.join(zoo.MODALITY_ORDER)} to paths, got {files!r}")
+        if self.modality == "fusion" and not files:
+            raise ConfigInvalid("a fusion row needs feature_files")
         make_optimizer(self.optimizer)
 
     @classmethod
@@ -111,7 +106,9 @@ class LabelSetup:
     idx: dict  # split tag -> item positions in manifest order
 
 
-def prepare_labels(manifest, tax, seed, min_support=1):
+def prepare_labels(manifest, tax, seed):
+    """The split of ``seed`` and the labels that some train or val album
+    carries, after closure under the taxonomy."""
     ids = manifest.ids()
     closed = [sorted(labelspace.close_labels(it.labels, tax)) for it in manifest.items]
     tags = split(ids, seed).tags
@@ -120,15 +117,12 @@ def prepare_labels(manifest, tax, seed, min_support=1):
     trainval = idx["train"] + idx["val"]
     support = np.zeros(tax.n_labels, dtype=np.int64)
     for i in trainval:
+        if not closed[i]:
+            raise DataError(f"item {ids[i]!r} has no labels")
         support[closed[i]] += 1
-    kept = [j for j in range(tax.n_labels) if support[j] >= max(1, min_support)]
-    if not kept:
-        raise DataError("no label meets the support threshold on train+val")
+    kept = [j for j in range(tax.n_labels) if support[j] > 0]
     remap = {old: new for new, old in enumerate(kept)}
     rows = [sorted(remap[j] for j in r if j in remap) for r in closed]
-    for i in trainval:
-        if not rows[i]:
-            raise DataError(f"item {ids[i]!r} lost all labels under the support threshold")
     truth = np.zeros((len(ids), len(kept)))
     for i, r in enumerate(rows):
         truth[i, r] = 1.0
@@ -157,7 +151,7 @@ def _item_factor_targets(setup, factor_model, positions):
 def text_corpus(manifest, cfg):
     corpus = []
     for it in manifest.items:
-        text = textfeat.aggregate_and_truncate(it.reviews, cfg.truncate_chars)
+        text = textfeat.aggregate_and_truncate(it.reviews)
         tokens = textfeat.tokenize(text)
         if cfg.settings.endswith("+sem"):
             tokens = textfeat.append_enrichment(tokens, it.enrichment)
@@ -167,9 +161,8 @@ def text_corpus(manifest, cfg):
 
 def text_features(manifest, cfg, trainval_positions):
     corpus = text_corpus(manifest, cfg)
-    vocab = textfeat.build_vocabulary(
-        [corpus[i] for i in trainval_positions], cfg.vocab_size)
-    return textfeat.tfidf(corpus, vocab), vocab
+    vocab = textfeat.build_vocabulary([corpus[i] for i in trainval_positions])
+    return textfeat.tfidf(corpus, vocab)
 
 
 def _timbre_inputs(cfg, manifest, setup):
@@ -243,20 +236,14 @@ def _audio_inputs(cfg, manifest, setup):
 
 
 def _text_inputs(cfg, manifest, setup):
-    return text_features(manifest, cfg, setup.idx["train"] + setup.idx["val"])[0], None
+    return text_features(manifest, cfg, setup.idx["train"] + setup.idx["val"]), None
 
 
 def _fusion_inputs(cfg, manifest, setup):
-    vectors = {}
-    for mod in cfg.fusion_modalities:
-        path = cfg.feature_files.get(mod)
-        if path is None:
-            raise ConfigError(f"fusion needs feature_files[{mod!r}]")
-        mat, ids = zoo.load_feature_vectors(path)
-        if ids != manifest.ids():
-            raise DataError(f"feature file {path!r} ids do not match the manifest")
-        vectors[mod] = mat
-    return zoo.fuse(vectors, cfg.fusion_modalities), None
+    fused, ids = zoo.fuse_files(cfg.feature_files)
+    if ids != manifest.ids():
+        raise DataError(f"{', '.join(cfg.feature_files.values())}: ids differ from the manifest's")
+    return fused, None
 
 
 @dataclass(frozen=True)
@@ -328,7 +315,7 @@ def run_experiment(cfg, manifest, tax):
     the table row, the album-level feature matrix, and artifact paths."""
     binfile.make_dirs(cfg.out_dir)
     binfile.remove(os.path.join(cfg.out_dir, "row.json"))  # written last: marks a complete row
-    setup = prepare_labels(manifest, tax, cfg.seed, cfg.min_label_support)
+    setup = prepare_labels(manifest, tax, cfg.seed)
     factor_model = fit_factors(setup, cfg.d) if cfg.target == "cosine" else None
     n_out = (len(setup.kept_labels) if cfg.target == "logistic"
              else factor_model.label_factors.shape[1])
@@ -406,11 +393,11 @@ def run_experiment(cfg, manifest, tax):
 
 # ------------------------------------------------------------------ the grid
 
-def default_grid(seed=42, out_root="runs"):
+def default_grid():
     """Desk-scale mirror of the results grid on synthetic data."""
     audio_common = {"patch_width": 96, "batch_size": 16, "epochs": 10, "patience": 3,
                     "optimizer": {"kind": "adam", "lr": 1e-3}}
-    rows = [
+    return [
         {"modality": "timbre", "target": "logistic", "settings": "timbre-mlp",
          "epochs": 300, "patience": 30, "optimizer": {"kind": "adam", "lr": 1e-2}},
         {"modality": "audio", "target": "logistic", "settings": "low-4x70", **audio_common},
@@ -422,41 +409,58 @@ def default_grid(seed=42, out_root="runs"):
         {"modality": "image", "target": "logistic", "settings": "ingested",
          "epochs": 200, "patience": 20, "optimizer": {"kind": "adam", "lr": 1e-2}},
     ]
-    for r in rows:
-        r["seed"] = seed
-        r["out_dir"] = os.path.join(
-            out_root, f"{r['modality']}_{r['target']}_{r['settings'].replace('+', '')}")
-    return rows
+
+
+def _grid_row(spec, out_root, seed):
+    """A grid row's config: the grid's seed, and unless the row names one,
+    the directory ``out_root/<modality>_<target>_<settings without +>``."""
+    cfg = ExperimentConfig.from_dict(spec)
+    if "seed" in spec and cfg.seed != seed:
+        raise ConfigInvalid(f"a grid row names seed {cfg.seed}, but the grid's is {seed}")
+    out_dir = cfg.out_dir if "out_dir" in spec else os.path.join(
+        out_root, f"{cfg.modality}_{cfg.target}_{cfg.settings.replace('+', '')}")
+    return dataclasses.replace(cfg, seed=seed, out_dir=out_dir)
 
 
 def run_grid(manifest, tax, out_root="runs", seed=42, grid=None):
     """Run single-modality rows, then late-fusion rows on the best
-    (by AUC) feature vectors of each modality."""
-    grid = grid if grid is not None else default_grid(seed, out_root)
+    (by AUC) feature vectors of each modality.
+
+    Every row splits on ``seed``.  All row configs are checked before the
+    first row runs: a row that names another seed, or two rows (fusion rows
+    included) that write to one directory, are ConfigInvalid."""
+    grid = grid if grid is not None else default_grid()
     if not isinstance(grid, list) or not grid:
         raise ConfigInvalid(f"a grid must be a non-empty list of row configs, got {grid!r}")
+    configs = [_grid_row(spec, out_root, seed) for spec in grid]
+    fusion_dirs = {}
+    if set(zoo.MODALITY_ORDER) <= {MODALITIES[cfg.modality].letter for cfg in configs}:
+        fusion_dirs = {target: os.path.join(out_root, f"fusion_{target}_ATI")
+                       for target in ("logistic", "cosine")}
+    dirs = collections.Counter(os.path.abspath(d) for d in
+                               [cfg.out_dir for cfg in configs] + list(fusion_dirs.values()))
+    shared = [d for d, n in dirs.items() if n > 1]
+    if shared:
+        raise ConfigInvalid(f"more than one grid row writes to {shared[0]}")
     rows = []
     results = []
     best = {}  # fusion letter -> (auc, features path)
-    for spec in grid:
-        cfg = ExperimentConfig.from_dict(spec)
+    for cfg in configs:
         result = run_experiment(cfg, manifest, tax)
         rows.append(result["row"])
         results.append(result)
         mod = MODALITIES[cfg.modality].letter
         if mod and (mod not in best or result["row"]["auc"] > best[mod][0]):
             best[mod] = (result["row"]["auc"], result["paths"]["features"])
-    if all(m in best for m in zoo.MODALITY_ORDER):
-        for target in ("logistic", "cosine"):
-            cfg = ExperimentConfig(
-                modality="fusion", target=target, settings="mlp",
-                feature_files={m: best[m][1] for m in zoo.MODALITY_ORDER},
-                seed=seed, epochs=200, patience=20,
-                optimizer={"kind": "adam", "lr": 1e-2},
-                out_dir=os.path.join(out_root, f"fusion_{target}_ATI"))
-            result = run_experiment(cfg, manifest, tax)
-            rows.append(result["row"])
-            results.append(result)
+    for target, out_dir in fusion_dirs.items():
+        cfg = ExperimentConfig(
+            modality="fusion", target=target, settings="mlp",
+            feature_files={m: best[m][1] for m in zoo.MODALITY_ORDER},
+            seed=seed, epochs=200, patience=20,
+            optimizer={"kind": "adam", "lr": 1e-2}, out_dir=out_dir)
+        result = run_experiment(cfg, manifest, tax)
+        rows.append(result["row"])
+        results.append(result)
     return rows, results
 
 

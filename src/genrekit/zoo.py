@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binfile
-from .errors import (ConfigInvalid, DuplicateId, EmptyAlbum, MissingModality, NonFiniteLoss,
-                     TooFewItems)
+from .errors import (ConfigInvalid, DataError, DuplicateId, EmptyAlbum, MissingModality,
+                     NonFiniteLoss, TooFewItems)
 from .nn import ModelGraph, load_model, make_optimizer, save_model
 
 LOW_WIDTHS = (64, 128, 128, 64)
@@ -251,17 +251,22 @@ def _l2_rows(mat):
     return out
 
 
-def fuse(modality_vectors, selection=MODALITY_ORDER):
-    """Concatenate l2-normalized modality blocks in fixed A, T, I order into
-    one (m, sum of block widths) matrix; a zero row stays zero."""
-    selection = [m for m in MODALITY_ORDER if m in selection]
-    if not selection:
-        raise ConfigInvalid("empty modality selection")
+def _letters(blocks):
+    """The keys of ``blocks`` in A, T, I order; ConfigInvalid if there is
+    none or one is not such a letter."""
+    if not blocks or any(k not in MODALITY_ORDER for k in blocks):
+        raise ConfigInvalid(f"fusion blocks are named by letters from "
+                            f"{', '.join(MODALITY_ORDER)}, got {list(blocks)!r}")
+    return [m for m in MODALITY_ORDER if m in blocks]
+
+
+def fuse(modality_vectors):
+    """Concatenate the l2-normalized blocks of ``modality_vectors`` (letter
+    -> matrix) in fixed A, T, I order into one (m, sum of block widths)
+    matrix; a zero row stays zero."""
     parts = []
     n_items = None
-    for mod in selection:
-        if mod not in modality_vectors or modality_vectors[mod] is None:
-            raise MissingModality(f"modality {mod!r} not available")
+    for mod in _letters(modality_vectors):
         mat = np.asarray(modality_vectors[mod], dtype=np.float64)
         if n_items is None:
             n_items = mat.shape[0]
@@ -269,6 +274,18 @@ def fuse(modality_vectors, selection=MODALITY_ORDER):
             raise MissingModality(f"modality {mod!r} covers {mat.shape[0]} of {n_items} items")
         parts.append(_l2_rows(mat))
     return np.concatenate(parts, axis=1)
+
+
+def fuse_files(files):
+    """``fuse`` of the feature files named by letter; returns (matrix, item
+    ids).  DataError if two files list different ids."""
+    vectors, ids = {}, None
+    for mod in _letters(files):
+        mat, file_ids = load_feature_vectors(files[mod])
+        if ids is not None and file_ids != ids:
+            raise DataError(f"{files[mod]}: item ids differ between feature files")
+        vectors[mod], ids = mat, file_ids
+    return fuse(vectors), ids
 
 
 # ------------------------------------------------------------- serialization

@@ -10,8 +10,8 @@ from genrekit.audiofeat import Spectrogram, save_spectrogram
 from genrekit.cli import main
 from genrekit.experiment import ExperimentConfig, prepare_labels, run_experiment
 from genrekit.labelspace import load_taxonomy
-from genrekit.pipeline import SynthSpec, load_manifest, save_manifest, synth_dataset
-from genrekit.zoo import FEATURE_MAGIC, save_feature_vectors
+from genrekit.pipeline import SynthSpec, load_manifest, save_manifest, split, synth_dataset
+from genrekit.zoo import FEATURE_MAGIC, load_feature_vectors, save_feature_vectors
 from test_experiment import BEST_NOT_LAST, fail_second_checkpoint_write, fusion_feature_files
 
 
@@ -293,8 +293,8 @@ def test_option_a_subcommand_does_not_read_is_refused(tmp_path, capsys, case):
     ({"modality": "timbre", "settings": "timbre-mlp", "epochs": 3}, "model.munn"),
     ({"modality": "audio", "settings": "low-4x70", "epochs": 1, "patch_width": 48,
       "batch_size": 8}, "track_model.munn"),
-    ({"modality": "fusion", "settings": "mlp", "target": "cosine", "epochs": 2,
-      "fusion_modalities": ["T", "I"]}, "model.munn"),
+    ({"modality": "fusion", "settings": "mlp", "target": "cosine", "epochs": 2},
+     "model.munn"),
 ])
 def test_extract_matches_the_rows_features(tmp_path, capsys, tiny_ds, row, checkpoint):
     """A fusion row's features are its fused inputs, the penultimate layer
@@ -436,3 +436,60 @@ def test_train_refuses_ragged_inputs(tmp_path, capsys, case):
     assert main(["train", *inputs, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert path in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------- grid rules
+
+TIMBRE_ROW = {"modality": "timbre", "settings": "timbre-mlp", "epochs": 3}
+
+
+def _experiment(tmp_path, tiny_ds, grid, *extra):
+    """``genrekit experiment`` on ``grid``, run from ``tmp_path``, into
+    ``tmp_path/g``; returns the exit code."""
+    cfg = _write(tmp_path / "grid.json", json.dumps(grid))
+    return main(["experiment", *tiny_ds, "--config", cfg, "--out", str(tmp_path / "g"),
+                 *extra])
+
+
+def test_experiment_rows_split_on_the_grid_seed(tmp_path, capsys, tiny_ds, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _experiment(tmp_path, tiny_ds, [TIMBRE_ROW], "--seed", "8") == 0
+    _, predicted = load_feature_vectors(
+        tmp_path / "g" / "timbre_logistic_timbre-mlp" / "predictions.mufv")
+    ids = load_manifest(tiny_ds[1]).ids()
+    tests = {seed: [i for i in ids if split(ids, seed).tags[i] == "test"] for seed in (8, 42)}
+    assert tests[8] != tests[42]
+    assert predicted == tests[8]
+
+
+def test_experiment_writes_rows_without_out_dir_under_out(tmp_path, capsys, tiny_ds,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    image_row = {"modality": "image", "settings": "ingested", "epochs": 3}
+    assert _experiment(tmp_path, tiny_ds, [TIMBRE_ROW, image_row]) == 0
+    assert not (tmp_path / "runs").exists()
+    rows = [json.loads(line) for line in (tmp_path / "g" / "rows.jsonl").read_text().split("\n")
+            if line]
+    for name, row in zip(("timbre_logistic_timbre-mlp", "image_logistic_ingested"), rows):
+        assert json.loads((tmp_path / "g" / name / "row.json").read_text()) == row
+
+
+@pytest.mark.parametrize("case", ["not-a-row", "other-seed", "shared-dir", "fusion-dir"])
+def test_experiment_refuses_a_bad_grid_before_any_row_runs(tmp_path, capsys, tiny_ds,
+                                                           monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    shared = {"out_dir": str(tmp_path / "g" / "row")}
+    grid = {
+        "not-a-row": [TIMBRE_ROW, 5],
+        "other-seed": [{**TIMBRE_ROW, "seed": 2}],
+        "shared-dir": [{**TIMBRE_ROW, **shared}, {**TIMBRE_ROW, "target": "cosine", **shared}],
+        "fusion-dir": [
+            {"modality": "audio", "settings": "low-4x70", "epochs": 1, "patch_width": 48,
+             "batch_size": 8},
+            {"modality": "text", "settings": "vsm", "epochs": 1},
+            {"modality": "image", "settings": "ingested", "epochs": 1},
+            {**TIMBRE_ROW, "out_dir": str(tmp_path / "g" / "fusion_cosine_ATI")}],
+    }[case]
+    assert _experiment(tmp_path, tiny_ds, grid, "--seed", "8") == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "g").exists() and not (tmp_path / "runs").exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from genrekit import binfile, zoo
-from genrekit.errors import ConfigError, ConfigInvalid, IoError
+from genrekit.errors import ConfigError, ConfigInvalid, DataError, IoError
 from genrekit.experiment import (
     ExperimentConfig,
     fit_factors,
@@ -47,9 +47,11 @@ def test_config_rejects_mismatched_settings():
 
 
 def test_config_from_dict_rejects_unknown_fields():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"modality": "text", "settings": "vsm",
-                                    "learning_rate": 0.1})
+    # learning_rate never was a field; the other four were removed
+    for name in ("learning_rate", "fusion_modalities", "vocab_size", "truncate_chars",
+                 "min_label_support"):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict({"modality": "text", "settings": "vsm", name: 1})
 
 
 def test_config_from_json(tmp_path):
@@ -62,8 +64,7 @@ def test_config_from_json(tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("epochs", "3"), ("batch_size", "x"), ("patience", 2.0), ("d", True), ("seed", None),
-    ("min_label_support", [1]), ("patch_width", 0), ("vocab_size", -5),
-    ("truncate_chars", 0), ("epochs", 0), ("seed", -1), ("seed", False),
+    ("patch_width", 0), ("epochs", 0), ("seed", -1), ("seed", False),
     pytest.param("optimizer", {"kind": "rmsprop"}, id="optimizer-unknown-kind"),
     pytest.param("optimizer", {"kind": ["adam"]}, id="optimizer-kind-list"),
     pytest.param("optimizer", {"kind": "adam", "momentum": 0.9}, id="optimizer-unknown-name"),
@@ -82,14 +83,17 @@ def test_config_from_json(tmp_path):
     pytest.param("out_dir", 5, id="out_dir-int"),
     pytest.param("feature_files", "x", id="feature_files-str"),
     pytest.param("feature_files", {"A": 5}, id="feature_files-int-path"),
-    pytest.param("fusion_modalities", ["I", "X"], id="fusion_modalities-unknown"),
-    pytest.param("fusion_modalities", ["A", "A"], id="fusion_modalities-repeated"),
-    pytest.param("fusion_modalities", "ATI", id="fusion_modalities-str"),
+    pytest.param("feature_files", {"X": "x.mufv"}, id="feature_files-unknown-letter"),
 ])
 def test_config_rejects_bad_integer_fields(field, value):
     with pytest.raises(ConfigInvalid, match=field):
         ExperimentConfig.from_dict({"modality": "timbre", "settings": "timbre-mlp",
                                     field: value})
+
+
+def test_config_refuses_a_fusion_row_without_files():
+    with pytest.raises(ConfigInvalid, match="feature_files"):
+        ExperimentConfig.from_dict({"modality": "fusion", "settings": "mlp"})
 
 
 def test_config_accepts_least_integer_values():
@@ -113,7 +117,7 @@ def test_prepare_labels_closes_and_splits(small_dataset):
 
 def test_prepare_labels_support_computed_on_trainval_only(small_dataset):
     manifest, tax = small_dataset
-    setup = prepare_labels(manifest, tax, seed=0, min_support=1)
+    setup = prepare_labels(manifest, tax, seed=0)
     trainval = setup.idx["train"] + setup.idx["val"]
     support = setup.truth[trainval].sum(axis=0)
     assert (support >= 1).all()
@@ -179,11 +183,10 @@ RERUN_ROWS = {
     "timbre": {},
     "audio": dict(modality="audio", settings="low-3x3", target="cosine", d=3,
                   patch_width=32, batch_size=8),
-    "text": dict(modality="text", settings="vsm+sem", vocab_size=200),
+    "text": dict(modality="text", settings="vsm+sem"),
     "image": dict(modality="image", settings="ingested",
                   optimizer={"kind": "sgd", "lr": 0.05, "momentum": 0.9}),
-    "fusion": dict(modality="fusion", settings="mlp", target="cosine",
-                   fusion_modalities=["T", "I"]),
+    "fusion": dict(modality="fusion", settings="mlp", target="cosine"),
 }
 
 
@@ -225,6 +228,13 @@ def test_run_experiment_report_rerun_identical(small_dataset, tmp_path, modality
             "row.json"} <= set(first)
 
 
+def test_fusion_row_refuses_files_of_other_albums(small_dataset, tmp_path):
+    files = fusion_feature_files(small_dataset[0].ids()[::-1], tmp_path)
+    with pytest.raises(DataError, match="manifest"):
+        run_cheap(small_dataset, tmp_path, modality="fusion", settings="mlp",
+                  feature_files=files)
+
+
 def test_run_experiment_writes_row_json_last(small_dataset, tmp_path, monkeypatch):
     """A rerun into a finished row directory first removes its row.json, so
     a rerun that fails before its end leaves no row.json behind."""
@@ -243,7 +253,7 @@ def test_run_experiment_writes_row_json_last(small_dataset, tmp_path, monkeypatc
 
 # a text row whose validation loss is best at epoch 1 of 3, so its
 # checkpoint is written twice and then read back
-BEST_NOT_LAST = dict(modality="text", settings="vsm", vocab_size=200, epochs=3, patience=5,
+BEST_NOT_LAST = dict(modality="text", settings="vsm", epochs=3, patience=5,
                      optimizer={"kind": "adam", "lr": 1e-2})
 
 
@@ -255,7 +265,7 @@ def test_checkpoint_reproduces_the_predictions_when_the_best_epoch_is_not_the_la
     assert int(np.argmin(val_losses)) == 1 < len(val_losses) - 1
     manifest, _ = small_dataset
     cfg = result["config"]
-    setup = prepare_labels(manifest, small_dataset[1], cfg.seed, cfg.min_label_support)
+    setup = prepare_labels(manifest, small_dataset[1], cfg.seed)
     x, _ = model_inputs(cfg, manifest, setup)
     scores, ids = zoo.load_feature_vectors(result["paths"]["predictions"])
     assert ids == [manifest.ids()[i] for i in setup.idx["test"]]

@@ -29,6 +29,7 @@ from genrekit.zoo import (
     build_text_mlp,
     extract_features,
     fuse,
+    fuse_files,
     load_feature_vectors,
     predict,
     save_feature_vectors,
@@ -312,7 +313,7 @@ def test_fuse_l2_blocks_in_fixed_order():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(4, 3))
     t = rng.normal(size=(4, 5))
-    fused = fuse({"T": t, "A": a}, selection=("T", "A"))  # order fixed by fuse
+    fused = fuse({"T": t, "A": a})  # order fixed by fuse
     assert fused.shape == (4, 8)
     for block, x in ((slice(0, 3), a), (slice(3, 8), t)):  # slices from the input widths
         np.testing.assert_allclose(np.linalg.norm(fused[:, block], axis=1), 1.0, atol=1e-12)
@@ -322,16 +323,31 @@ def test_fuse_l2_blocks_in_fixed_order():
 
 def test_fuse_flags_zero_rows():
     a = np.array([[1.0, 0.0], [0.0, 0.0]])
-    fused = fuse({"A": a}, selection=("A",))
+    fused = fuse({"A": a})
     assert np.flatnonzero(~fused.any(axis=1)).tolist() == [1]
     np.testing.assert_array_equal(fused[0], [1.0, 0.0])
 
 
 def test_fuse_missing_modality():
     with pytest.raises(MissingModality):
-        fuse({"A": np.ones((2, 2))}, selection=("A", "T"))
-    with pytest.raises(MissingModality):
         fuse({"A": np.ones((2, 2)), "T": np.ones((3, 2))})
+
+
+@pytest.mark.parametrize("blocks", [{}, {"A": np.ones((2, 2)), "X": np.ones((2, 2))}],
+                         ids=["none", "unknown-letter"])
+def test_fuse_refuses_blocks_not_named_by_a_letter(blocks):
+    with pytest.raises(ConfigInvalid, match="letters"):
+        fuse(blocks)
+
+
+def test_fuse_files_refuses_files_that_list_other_ids(tmp_path):
+    a, t = str(tmp_path / "a.mufv"), str(tmp_path / "t.mufv")
+    save_feature_vectors(np.ones((2, 3)), ["x1", "x2"], a)
+    save_feature_vectors(np.ones((2, 4)), ["x2", "x1"], t)
+    with pytest.raises(DataError, match="t.mufv"):
+        fuse_files({"A": a, "T": t})
+    with pytest.raises(ConfigInvalid):  # before any file is read
+        fuse_files({"A": a, "X": str(tmp_path / "absent.mufv")})
 
 
 def test_feature_vector_roundtrip(tmp_path):
