@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import audiofeat, binfile, labelspace, metrics, textfeat, zoo
-from .errors import ConfigError, ConfigInvalid, DataError, EmptyAlbum, StatsDimensionMismatch
+from .errors import (
+    AllLabelsSkipped, ConfigError, ConfigInvalid, DataError, EmptyAlbum, StatsDimensionMismatch)
 from .nn import make_optimizer
 from .pipeline import split
 
@@ -313,9 +314,14 @@ class _Rows:
 def run_experiment(cfg, manifest, tax):
     """Execute one results row. Returns a dict with the evaluation report,
     the table row, the album-level feature matrix, and artifact paths."""
+    setup = prepare_labels(manifest, tax, cfg.seed)
+    # a row that cannot be scored is refused before anything is written or trained
+    positives = setup.truth[setup.idx["test"]].sum(axis=0)
+    if not ((positives > 0) & (positives < len(setup.idx["test"]))).any():
+        raise AllLabelsSkipped(f"seed {cfg.seed}: no label has both positives and negatives "
+                               "among the test albums")
     binfile.make_dirs(cfg.out_dir)
     binfile.remove(os.path.join(cfg.out_dir, "row.json"))  # written last: marks a complete row
-    setup = prepare_labels(manifest, tax, cfg.seed)
     factor_model = fit_factors(setup, cfg.d) if cfg.target == "cosine" else None
     n_out = (len(setup.kept_labels) if cfg.target == "logistic"
              else factor_model.label_factors.shape[1])

@@ -6,12 +6,22 @@ into a column matrix, rows (c, i, j) and columns (sample, oh, ow), so that
 forward, the weight gradient and the input gradient are one BLAS matrix
 product each per group.  A group holds as many samples as fit in ``COLS``
 column elements (at least one), and each thread of a call reuses one
-column buffer for every group it runs.  The cap keeps memory bounded:
-unrolling a whole batch of the first audio stage (70x4 filters over 96x96
-patches) would copy ~90 MB, where the buffer holds one sample's 5.6 MB.
-Grouping keeps late stages fast: their maps are 3x3 or 1x1, and a GEMM per
-sample there ran 2-3x (3x3) to over 10x (1x1) slower than one many
-samples wide.
+column buffer for every group it runs.  Grouping keeps late stages fast:
+their maps are 3x3 or 1x1, and a GEMM per sample there ran 2-3x (3x3) to
+over 10x (1x1) slower than one many samples wide.
+
+``COLS`` also bounds every column buffer of the first audio stage (70x4
+filters over 96x96 patches, 2x4 pool), where a whole batch would unroll to
+~90 MB and one sample to 5.6 MB.  A sample over ``COLS`` is cut into bands
+(``_bands``) that the thread which took it runs one after another: the
+fused forward in runs of whole pooling-window rows, skipping conv rows and
+columns that no window reads, and a ``need_dx=False`` backward's dw product
+in runs of whole kernel rows (col2im needs all of a sample's columns, so
+with ``need_dx`` the sample stays whole).  Each band's GEMM gives its
+columns of the whole product bit for bit, so a sample is cut only where
+every band is a multiple of 8 columns wide and at least ``SPLIT``
+multiply-adds, and, in the forward, the whole product's last ``P % 8``
+columns are ones no window reads; otherwise it stays whole.
 
 Pooling reads the input through its ph*pw strided offset views, one per
 window position, and takes an in-place ``np.maximum`` over them: no window
@@ -20,7 +30,7 @@ is counted in the same view order, and only when a backward pass will need
 it; the backward writes ``dout`` into one offset view of ``dx`` at a time.
 
 A conv and the max-pool after it can run fused (``pool=(ph, pw)``): each
-sample group's conv output is pooled as soon as its GEMM is done, and the
+sample group's conv output is pooled as soon as its GEMMs are done, and the
 backward widens the pooled gradient one group at a time, so neither the
 full-resolution map nor its gradient exists for the whole batch (20.6 MB
 each at the first audio stage of a batch of 16).  The fused kernels give
@@ -30,8 +40,9 @@ A conv call with more than one sample group runs its groups on several
 threads at once: one per CPU the process may run on, but at most
 ``MAX_WORKERS`` (``taskset -c 0`` gives one, and then no thread is started).
 The cap keeps the per-call scratch independent of the host: each thread
-holds a slot of ~7 MB at the first audio stage, and two is the only count
-whose speed and peak memory have been measured.  The calling thread and
+holds a slot of ~3.4 MB at the first audio stage (a 2 MB band of columns
+and one sample's 1.3 MB conv map or widened gradient), and two is the only
+count whose speed and peak memory have been measured.  The calling thread and
 the threads of a pool, built by the first call that needs it, each take the
 next group whenever they are free.  The caller allocates every large
 buffer, one slot per thread: the column buffer, the GEMM output and the
@@ -112,15 +123,38 @@ def _plan(x, kh, kw):
     return K, P, g, _threads(-(-B // g))
 
 
-def _unroll(x, s0, s1, kh, kw, buf):
-    """The columns of samples s0:s1, written into the head of ``buf`` and
-    returned as its (C*kh*kw, n*OH*OW) view."""
-    _, C, H, W = x.shape
-    n, oh, ow = s1 - s0, H - kh + 1, W - kw + 1
-    cols = buf[:C * kh * kw * n * oh * ow].reshape(C * kh * kw, -1)
-    win = sliding_window_view(x[s0:s1], (kh, kw), axis=(2, 3))  # (n, C, OH, OW, KH, KW)
-    np.copyto(cols.reshape(C, kh, kw, n, oh, ow), win.transpose(1, 4, 5, 0, 2, 3))
+def _unroll(x, kh, kw, buf, q0=0, q1=None):
+    """The column-matrix rows of kernel rows q0:q1 (one kernel row per
+    (c, i); all of them by default) over x's samples, written into the head
+    of ``buf`` and returned as its ((q1-q0)*kw, n*OH*OW) view."""
+    n, C, H, W = x.shape
+    q1 = C * kh if q1 is None else q1
+    cols = buf[:(q1 - q0) * kw * n * (H - kh + 1) * (W - kw + 1)].reshape((q1 - q0) * kw, -1)
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+    rows = cols.reshape((q1 - q0,) + win.shape[2:])  # (kernel row, KW, n, OH, OW)
+    if q1 - q0 == C * kh:
+        np.copyto(rows.reshape(win.shape), win)
+        return cols
+    for c in range(q0 // kh, -(-q1 // kh)):  # the channels the rows belong to
+        i0, i1 = max(q0 - c * kh, 0), min(q1 - c * kh, kh)
+        np.copyto(rows[c * kh + i0 - q0:c * kh + i1 - q0], win[c, i0:i1])
     return cols
+
+
+def _bands(units, width, depth, macs):
+    """A sample's GEMM cut into bands of whole units: [(u0, u1), ...] over
+    ``units`` units of ``width`` GEMM columns, each column ``depth``
+    column-buffer elements and ``macs`` multiply-adds, as many units per
+    band as fit in ``COLS`` elements.  None (keep the sample whole) unless
+    every band is a multiple of 8 columns wide and at least ``SPLIT``
+    multiply-adds: OpenBLAS rounds the last ``n % 8`` columns of a GEMM, a
+    gemv and its small-matrix kernel differently."""
+    per = COLS // (width * depth)
+    per -= per % (8 // np.gcd(width, 8))
+    last = units - (units - 1) // per * per if per else 0  # the last band is the narrowest
+    if last * width % 8 or last * width * macs < SPLIT:
+        return None
+    return [(u, min(units, u + per)) for u in range(0, units, per)]
 
 
 def _run_groups(B, g, slots, task, merge=None, window=None):
@@ -205,6 +239,9 @@ def conv2d_forward(x, w, b, pool=None, need_arg=False):
     ``maxpool_forward``, and (out, arg) of the pooled map is returned; arg
     is None unless ``need_arg``.  The bias is added before pooling, as in the
     unfused chain: added after, fl(x1 + b) can tie fl(x2 + b) with x1 < x2.
+    A pooled sample over ``COLS`` forms its map in ``_bands`` of whole
+    pooling-window rows, without the conv rows and columns that no window
+    reads, and pools it once every band is done.
     """
     F, _, KH, KW = w.shape
     B, OH, OW = x.shape[0], x.shape[2] - KH + 1, x.shape[3] - KW + 1
@@ -213,15 +250,24 @@ def conv2d_forward(x, w, b, pool=None, need_arg=False):
     out = np.empty((B, F, OH // pool[0], OW // pool[1]) if pool else (B, F, OH, OW))
     arg = (np.empty(out.shape, np.min_scalar_type(pool[0] * pool[1] - 1))
            if pool and need_arg else None)
-    cols = np.empty((slots, K * g * P))
+    oh, ow, bands = OH, OW, [(0, OH)]  # the conv rows and columns computed, in bands of rows
+    if pool and K * P > COLS:
+        ph, pw = pool
+        units = _bands(OH // ph, ph * (OW // pw * pw), K, F * K)
+        # the whole product's last P % 8 columns must be ones that no window reads
+        if units and P % 8 <= (OH - OH // ph * ph) * OW + OW % pw:
+            oh, ow, bands = OH // ph * ph, OW // pw * pw, [(u0 * ph, u1 * ph) for u0, u1 in units]
+    cols = np.empty((slots, K * g * (bands[0][1] - bands[0][0]) * ow))
     convs = np.empty((slots, F * g * P))
 
     def group(k, s0, s1):
         n = s1 - s0
-        conv = np.matmul(wm, _unroll(x, s0, s1, KH, KW, cols[k]),
-                         out=convs[k, :F * n * P].reshape(F, -1))
+        conv = convs[k, :F * n * oh * ow].reshape(F, -1)
+        for r0, r1 in bands:  # more than one only where a group is one sample
+            band_cols = _unroll(x[s0:s1, :, r0:r1 + KH - 1, :ow + KW - 1], KH, KW, cols[k])
+            np.matmul(wm, band_cols, out=conv[:, n * r0 * ow:n * r1 * ow])
         conv += b[:, None]
-        conv = conv.reshape(F, n, OH, OW).transpose(1, 0, 2, 3)
+        conv = conv.reshape(F, n, oh, ow).transpose(1, 0, 2, 3)
         if pool is None:
             out[s0:s1] = conv
         elif need_arg:
@@ -243,6 +289,8 @@ def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
     ``db`` then matches ``dout.sum(axis=(0, 2, 3))`` of the widened map bit
     for bit: numpy sums it one sample at a time in sample order, except a
     one-filter map, which it sums as one flat run and so is kept whole.
+    With ``need_dx=False`` a sample over ``COLS`` forms its dw product in
+    ``_bands`` of whole kernel rows (col2im needs all of a sample's columns).
     """
     F, C, KH, KW = w.shape
     B, OH, OW = x.shape[0], x.shape[2] - KH + 1, x.shape[3] - KW + 1
@@ -255,14 +303,15 @@ def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
         whole = dout
     else:
         whole = np.empty((B, 1, OH, OW)) if F == 1 else None
-    cols = np.empty((slots, K * g * P))
+    bands = _bands(C * KH, KW, P, F * P) if not need_dx and K * P > COLS else None
+    bands = bands or [(0, C * KH)]
+    cols = np.empty((slots, (bands[0][1] - bands[0][0]) * KW * g * P))
     window = 2 * slots  # groups a thread may run ahead of the merged ones
     dws = np.empty((min(window, -(-B // g)), F, K))  # group i's dw product: dws[i % len]
     dconvs = np.empty((slots, g * F * P)) if pool else None
 
     def group(k, s0, s1):
         n = s1 - s0
-        group_cols = _unroll(x, s0, s1, KH, KW, cols[k])
         sums = ()
         if pool is None:
             dconv = dout[s0:s1]
@@ -275,11 +324,13 @@ def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
                 whole[s0:s1] = dconv
         dout_g = dconv.transpose(1, 0, 2, 3).reshape(F, -1)  # (F, n*OH*OW)
         ring = s0 // g % len(dws)
-        np.matmul(dout_g, group_cols.T, out=dws[ring])
+        for q0, q1 in bands:
+            band_cols = _unroll(x[s0:s1], KH, KW, cols[k], q0, q1)
+            np.matmul(dout_g, band_cols.T, out=dws[ring][:, q0 * KW:q1 * KW])
         if need_dx:
             # col2im: scatter the column gradient back, one kernel offset at a
             # time; it overwrites the group's columns, which dw has consumed
-            dcols = np.matmul(wm.T, dout_g, out=group_cols).reshape(C, KH, KW, n, OH, OW)
+            dcols = np.matmul(wm.T, dout_g, out=band_cols).reshape(C, KH, KW, n, OH, OW)
             for i in range(KH):
                 for j in range(KW):
                     dx[s0:s1, :, i:i + OH, j:j + OW] += dcols[:, i, j].transpose(1, 0, 2, 3)

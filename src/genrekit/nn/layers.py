@@ -32,6 +32,11 @@ def _stable_sigmoid(z):
 class Layer:
     """Stateless unless it owns parameters; caches what backward needs.
 
+    Conv, pool, ReLU and sigmoid layers cache only in a train-mode forward
+    and drop the cache once their backward has run, so a backward without a
+    fresh train-mode forward raises ``ConfigInvalid``.  A dense layer keeps
+    its input: its ``FactoredGrad`` reads it in the optimizer step.
+
     A layer with parameters whose ``need_dx`` is False computes only its
     parameter gradients in ``backward`` and returns None.  ``ModelGraph``
     sets it on its lowest parameter layer, whose input gradient nothing reads.
@@ -124,7 +129,7 @@ class Conv2d(Layer):
         self.b = np.zeros(n_filters)
         self.dw = None
         self.db = None
-        self._arg = None
+        self._x = self._arg = None
 
     def spec(self):
         f, _, kh, kw = self.w.shape
@@ -133,20 +138,22 @@ class Conv2d(Layer):
     def forward(self, x, train=False, rng=None):
         if x.ndim != 4 or x.shape[1] != self.w.shape[1]:
             raise ShapeMismatch(f"conv2d expects (B, {self.w.shape[1]}, H, W), got {x.shape}")
-        self._x = np.ascontiguousarray(x)
-        if self.pool is None:
-            return kernels.conv2d_forward(self._x, self.w, self.b)
+        x = np.ascontiguousarray(x)
         # only a train-mode forward is followed by a backward
-        out, self._arg = kernels.conv2d_forward(
-            self._x, self.w, self.b, pool=self.pool, need_arg=train)
+        self._x = x if train else None
+        if self.pool is None:
+            return kernels.conv2d_forward(x, self.w, self.b)
+        out, self._arg = kernels.conv2d_forward(x, self.w, self.b, pool=self.pool,
+                                                need_arg=train)
         return out
 
     def backward(self, dout):
-        if self.pool is not None and self._arg is None:
-            raise ConfigInvalid("conv2d+maxpool backward needs a forward with train=True first")
+        if self._x is None:
+            raise ConfigInvalid("conv2d backward needs a forward with train=True first")
         dx, self.dw, self.db = kernels.conv2d_backward(
             self._x, self.w, np.ascontiguousarray(dout), need_dx=self.need_dx,
             pool=self.pool, arg=self._arg)
+        self._x = self._arg = None
         return dx
 
 
@@ -179,31 +186,47 @@ class MaxPool(Layer):
             return dout
         if self._arg is None:
             raise ConfigInvalid("maxpool backward needs a forward with train=True first")
-        return kernels.maxpool_backward(dout, self._arg, self._shape, self.ph, self.pw)
+        dx = kernels.maxpool_backward(dout, self._arg, self._shape, self.ph, self.pw)
+        self._arg = None
+        return dx
 
 
 class ReLU(Layer):
+    _mask = None
+
     def spec(self):
         return {"kind": "relu"}
 
     def forward(self, x, train=False, rng=None):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if train else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, dout):
-        return np.where(self._mask, dout, 0.0)
+        if self._mask is None:
+            raise ConfigInvalid("relu backward needs a forward with train=True first")
+        dx = np.where(self._mask, dout, 0.0)
+        self._mask = None
+        return dx
 
 
 class Sigmoid(Layer):
+    _y = None
+
     def spec(self):
         return {"kind": "sigmoid"}
 
     def forward(self, x, train=False, rng=None):
-        self._y = _stable_sigmoid(x)
-        return self._y
+        y = _stable_sigmoid(x)
+        self._y = y if train else None
+        return y
 
     def backward(self, dout):
-        return dout * self._y * (1.0 - self._y)
+        if self._y is None:
+            raise ConfigInvalid("sigmoid backward needs a forward with train=True first")
+        dx = dout * self._y * (1.0 - self._y)
+        self._y = None
+        return dx
 
 
 class Dropout(Layer):

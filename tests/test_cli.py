@@ -166,6 +166,22 @@ def _write(path, text):
     return str(path)
 
 
+@pytest.mark.parametrize("seed", [3, 7, 13])
+def test_train_refuses_an_unscorable_split_before_training(tmp_path, capsys, tiny_ds, seed):
+    """No kept label has both positives and negatives among these seeds' test
+    albums: the row is refused (exit 3, naming the seed) before any
+    directory, checkpoint or training."""
+    cfg = _write(tmp_path / "cfg.json",
+                 '{"modality": "timbre", "settings": "timbre-mlp", "epochs": 3}')
+    run = tmp_path / "run"
+    assert main(["train", *tiny_ds, "--config", cfg, "--seed", str(seed),
+                 "--out", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert "no label has both positives and negatives" in err and f"seed {seed}" in err
+    assert not (run / "model.munn").exists()
+    assert not run.exists()
+
+
 ROW = {"modality": "text", "target": "logistic", "settings": "vsm", "params": 1,
        "epoch_seconds": 0.1, "auc": 0.5}
 

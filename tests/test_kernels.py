@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genrekit import kernels
@@ -327,6 +327,7 @@ def fused_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(fused_cases())
+@example((1, 1, 3, 2, 1, 2, 2, 1, 1, 1, False, 0))  # a one-column band would run as gemv
 def test_fused_conv_pool_equals_unfused_chain(case):
     """The fused kernels give the chain's pooled map, argmax and gradients
     to the bit.  A zeroed input region makes the conv output equal the bias
@@ -369,6 +370,78 @@ def test_fused_stage_never_holds_a_full_resolution_map():
     finally:
         tracemalloc.stop()
     assert peak < full_map
+
+
+def over_cols_case(B, C, H, W, F, KH, KW, ph, pw, seed):
+    """x, w, b and a pooled gradient of a fused stage whose one sample's
+    column matrix is over COLS."""
+    rng = np.random.default_rng(seed)
+    x, w, b = random_case(rng, B=B, C=C, H=H, W=W, F=F, KH=KH, KW=KW)
+    x[0, :, H // 3:2 * H // 3, W // 4:W // 2] = 0.0  # conv output = bias there: tied windows
+    assert C * KH * KW * (H - KH + 1) * (W - KW + 1) > kernels.COLS
+    return x, w, b, rng.normal(size=(B, F, (H - KH + 1) // ph, (W - KW + 1) // pw))
+
+
+@pytest.mark.parametrize("shape,banded", [
+    ((2, 1, 96, 96, 64, 70, 4, 2, 4), (True, True)),
+    ((2, 2, 60, 100, 16, 40, 4, 2, 3), (True, True)),
+    ((2, 1, 96, 96, 64, 70, 3, 3, 3), (False, False)),
+    ((2, 1, 96, 60, 64, 70, 4, 1, 2), (False, True)),
+], ids=["first-audio-stage", "bands-across-channels", "dw-width-not-a-multiple-of-8",
+        "pool-reads-the-last-columns"])
+def test_samples_over_cols_run_in_bands_where_bits_allow(monkeypatch, shape, banded):
+    """The fused forward and the need_dx=False backward run a sample over
+    COLS in bands no larger than COLS, and give the unfused chain's bits (its
+    need_dx=True backward keeps every sample whole for col2im).  A sample
+    stays whole where a band would round differently: a 70x3 kernel's 210 dw
+    columns end in a partial group of 8, and a 1x2 pool over 57 columns reads
+    the last P % 8 columns of the whole product."""
+    x, w, b, dout = over_cols_case(*shape, seed=22)
+    pool = shape[-2:]
+    want = unfused_chain(x, w, b, *pool, dout, need_dx=True)
+    sizes = []
+    unroll = kernels._unroll
+
+    def recording_unroll(*args, **kwargs):
+        cols = unroll(*args, **kwargs)
+        sizes.append(cols.size)
+        return cols
+
+    monkeypatch.setattr(kernels, "_unroll", recording_unroll)
+    out, arg = conv2d_forward(x, w, b, pool=pool, need_arg=True)
+    forward, sizes[:] = sizes[:], []
+    grads = conv2d_backward(x, w, dout, need_dx=False, pool=pool, arg=arg)
+    assert (len(forward) > len(x), len(sizes) > len(x)) == banded
+    for calls, in_bands in zip((forward, sizes), banded):
+        assert (max(calls) <= kernels.COLS) == in_bands
+    assert grads[0] is None
+    for got, expect in zip((out, arg) + grads[1:], want[:2] + want[3:], strict=True):
+        assert got.dtype == expect.dtype
+        np.testing.assert_array_equal(got, expect)
+
+
+def test_first_audio_stage_scratch_is_bounded_by_cols():
+    """With two threads and B = 16, the fused forward and the need_dx=False
+    backward each peak below their outputs plus two COLS-sized float64
+    arrays per thread (its column buffer, and its GEMM output, widened
+    gradient and pool scratch).  A whole sample's column matrix per thread
+    (5.6 MB each) does not fit."""
+    import tracemalloc
+    x, w, b, dout = over_cols_case(16, 1, 96, 96, 64, 70, 4, 2, 4, seed=23)
+    scratch = 2 * 2 * kernels.COLS * 8
+    with workers(2):
+        tracemalloc.start()
+        try:
+            out, arg = conv2d_forward(x, w, b, pool=(2, 4), need_arg=True)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _, dw, db = conv2d_backward(x, w, dout, need_dx=False, pool=(2, 4), arg=arg)
+            backward_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert forward_peak < out.nbytes + arg.nbytes + scratch
+    assert backward_peak < dw.nbytes + db.nbytes + scratch
 
 
 # ------------------------------------------------- sample groups on worker threads

@@ -24,7 +24,7 @@ from genrekit.nn import (
     make_optimizer,
     save_model,
 )
-from genrekit.nn.layers import FactoredGrad
+from genrekit.nn.layers import Conv2d, FactoredGrad, MaxPool, ReLU, Sigmoid
 from genrekit.nn.model import _cosine_grad, _stable_sigmoid
 from genrekit.nn.optim import SPAN, _spans
 
@@ -551,6 +551,36 @@ def test_maxpool_backward_after_eval_forward_raises():
     layer.forward(x, train=False)
     with pytest.raises(GenrekitError, match="train=True"):
         layer.backward(np.ones((1, 1, 2, 2)))
+
+
+@pytest.mark.parametrize("pool_first", [True, False], ids=["fused", "unfused"])
+def test_a_second_backward_raises(pool_first):
+    """Conv, pool and ReLU layers drop what they cached once their backward
+    has run: a second backward of one forward is refused, not computed from
+    stale or missing state."""
+    model = two_stage_cnn(pool_first)
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(2, 1, 7, 9))
+    model.forward(x, train=True, rng=np.random.default_rng(19))
+    _, dz = model.loss_grad(rng.integers(0, 2, size=(2, 3)).astype(float))
+    model.backward(dz)
+    with pytest.raises(ConfigInvalid, match="train=True"):
+        model.backward(dz)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: Conv2d(1, 2, 2, 2, rng), lambda rng: MaxPool(2, 2), lambda rng: ReLU(),
+    lambda rng: Sigmoid()], ids=["conv2d", "maxpool", "relu", "sigmoid"])
+def test_caching_layer_backward_needs_a_fresh_train_forward(make):
+    layer = make(np.random.default_rng(20))
+    x = np.random.default_rng(21).normal(size=(1, 1, 4, 4))
+    dout = np.ones(layer.forward(x).shape)
+    with pytest.raises(ConfigInvalid, match="train=True"):
+        layer.backward(dout)
+    layer.forward(x, train=True)
+    layer.backward(dout)
+    with pytest.raises(ConfigInvalid, match="train=True"):
+        layer.backward(dout)
 
 
 def test_only_a_conv_directly_followed_by_a_pool_is_fused():
