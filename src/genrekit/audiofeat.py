@@ -96,23 +96,43 @@ class BinStats:
     STD_FLOOR = 1e-6
 
 
-def fit_bin_stats(patches):
-    """Per-bin mean/std over a stack of training patches (n, bins, frames)."""
+def fit_bin_stats(patches, rows=None):
+    """Per-bin mean/std over the training patches ``patches[rows]`` (all of
+    them when ``rows`` is None) of a stack (n, bins, frames).
+
+    The stats are fitted over bands of two bins, an odd last bin joined to
+    the band before it, each band a copy of ``patches[rows, b0:b1]``: no
+    copy of every training patch, nor ``np.std``'s deviation array over it,
+    exists at once.  A band of two or more bins reduces in the order the
+    whole stack does, so the stats are those of
+    ``patches[rows].mean/std(axis=(0, 2))`` bit for bit; a one-bin band is
+    not, because numpy merges its two reduced axes and sums in another
+    order."""
     stack = np.asarray(patches)
-    mean = stack.mean(axis=(0, 2))
-    std = stack.std(axis=(0, 2))
+    rows = np.arange(len(stack)) if rows is None else rows
+    n_bins = stack.shape[1]
+    edges = [*range(0, max(n_bins - 1, 1), 2), n_bins]
+    mean, std = np.empty(n_bins), np.empty(n_bins)
+    for b0, b1 in zip(edges, edges[1:]):
+        band = stack[rows, b0:b1]
+        mean[b0:b1] = band.mean(axis=(0, 2))
+        std[b0:b1] = band.std(axis=(0, 2))
     return BinStats(mean, std)
 
 
 def standardize(patches, stats):
-    """(value - bin mean) / max(bin std, 1e-6), vectorized over patches."""
-    patches = np.asarray(patches)
-    if patches.shape[-2] != stats.mean.shape[0]:
+    """(value - bin mean) / max(bin std, 1e-6), vectorized over patches.
+
+    A float64 array is standardized in place and returned; anything else
+    (a list, another dtype) is first copied into a new float64 array, and
+    is left as it was.  A bin-count mismatch is refused before anything is
+    written."""
+    out = np.asarray(patches, dtype=np.float64)
+    if out.shape[-2] != stats.mean.shape[0]:
         raise StatsDimensionMismatch(
-            f"patches have {patches.shape[-2]} bins, stats have {stats.mean.shape[0]}")
-    denom = np.maximum(stats.std, BinStats.STD_FLOOR)
-    out = np.subtract(patches, stats.mean[..., :, None])
-    out /= denom[..., :, None]
+            f"patches have {out.shape[-2]} bins, stats have {stats.mean.shape[0]}")
+    out -= stats.mean[:, None]
+    out /= np.maximum(stats.std, BinStats.STD_FLOOR)[:, None]
     return out
 
 

@@ -202,23 +202,22 @@ def _image_inputs(cfg, manifest, setup):
 
 
 def audio_patches(manifest, cfg):
-    """One seeded patch per track. Returns (patches, album position per track);
+    """One seeded patch per track, written into one (tracks, bins, width)
+    array. Returns (patches, album position per track);
     StatsDimensionMismatch if two tracks differ in their bin count."""
-    patches = []
-    album_of_track = []
-    counter, first = 0, None
-    for pos, it in enumerate(manifest.items):
-        for rel in it.tracks:
-            path = manifest.resolve(rel)
-            spec = audiofeat.load_spectrogram(path)
-            first = _same_size(first, path, spec.n_bins, "bins")
-            rng = np.random.default_rng([cfg.seed, 7, counter])
-            patches.append(audiofeat.sample_patch(spec, cfg.patch_width, rng))
-            album_of_track.append(pos)
-            counter += 1
-    if not patches:
+    tracks = [(pos, rel) for pos, it in enumerate(manifest.items) for rel in it.tracks]
+    if not tracks:
         raise DataError("manifest has no audio tracks")
-    return np.asarray(patches), np.asarray(album_of_track)
+    patches, first = None, None
+    for counter, (_, rel) in enumerate(tracks):
+        path = manifest.resolve(rel)
+        spec = audiofeat.load_spectrogram(path)
+        first = _same_size(first, path, spec.n_bins, "bins")
+        if patches is None:
+            patches = np.empty((len(tracks), spec.n_bins, cfg.patch_width))
+        rng = np.random.default_rng([cfg.seed, 7, counter])
+        patches[counter] = audiofeat.sample_patch(spec, cfg.patch_width, rng)
+    return patches, np.asarray([pos for pos, _ in tracks])
 
 
 def _column_standardize(features, train_positions):
@@ -232,7 +231,8 @@ def _audio_inputs(cfg, manifest, setup):
         if not it.tracks:
             raise EmptyAlbum(f"album {it.id!r} has no audio tracks")
     patches, album_of_track = audio_patches(manifest, cfg)
-    stats = audiofeat.fit_bin_stats(patches[np.isin(album_of_track, setup.idx["train"])])
+    rows = np.flatnonzero(np.isin(album_of_track, setup.idx["train"]))
+    stats = audiofeat.fit_bin_stats(patches, rows)
     return audiofeat.standardize(patches, stats)[:, None, :, :], album_of_track
 
 

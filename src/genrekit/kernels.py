@@ -56,9 +56,10 @@ Three callers share the one pool and its thread count (``_threads``) and
 run on it through ``_run_groups``: the conv kernels, ``matmul`` and the
 optimizer steps of ``nn.optim``, which update the spans of their parameter
 blocks on it.  ``matmul`` runs a product whose right-hand column halves
-hold at least ``SPLIT / 2`` elements each as those two halves, written
-into one output; each half gives the bits of those columns of the whole
-product, where a split of the batch rows would not.
+are a multiple of 8 columns wide and hold at least ``SPLIT / 2`` elements
+each as those two halves, written into one output; each half gives the
+bits of those columns of the whole product, where a split of the batch
+rows would not.
 
 The pool is the only parallelism: importing this module sets numpy's bundled
 OpenBLAS to one thread, process-wide and whatever ``OPENBLAS_NUM_THREADS``
@@ -209,18 +210,20 @@ def _run_groups(B, g, slots, task, merge=None, window=None):
 
 
 def matmul(a, b):
-    """``a @ b`` of 2-D float64 arrays.  Where each column half of ``b``
-    holds at least SPLIT / 2 elements, the halves run on two threads, each
-    writing its columns of one output, and give the bits of the whole
-    product.  The first half is a multiple of 8 columns wide, so that the
-    GEMM's last ``n % 8`` columns are the same in both.  The size keeps
-    each half on the whole product's BLAS path: a one-row ``a`` is a gemv
-    either way, and from two rows on each half is over 10^6 multiply-adds,
-    above which OpenBLAS no longer uses its small-matrix kernel (that
-    kernel gave a half of a 2048x15 product other bits)."""
+    """``a @ b`` of 2-D float64 arrays.  Where both column halves of ``b``
+    are a multiple of 8 columns wide and hold at least SPLIT / 2 elements,
+    the halves run on two threads, each writing its columns of one output,
+    and give the bits of the whole product; otherwise the product runs
+    whole.  OpenBLAS rounds the last ``n % 8`` columns of a GEMM
+    differently, so a width that is not a multiple of 8 is not split (a
+    (64x4096) @ (4096x284) product in halves differed in columns 280-283).
+    The size keeps each half on the whole product's BLAS path: a one-row
+    ``a`` is a gemv either way, and from two rows on each half is over 10^6
+    multiply-adds, above which OpenBLAS no longer uses its small-matrix
+    kernel (that kernel gave a half of a 2048x15 product other bits)."""
     n = b.shape[1]
     half = -(-n // 16) * 8
-    slots = _threads(2) if 2 * b.shape[0] * (n - half) >= SPLIT else 1
+    slots = _threads(2) if n % 8 == 0 and 2 * b.shape[0] * (n - half) >= SPLIT else 1
     if slots == 1:
         return a @ b
     out = np.empty((a.shape[0], n))

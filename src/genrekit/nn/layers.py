@@ -32,10 +32,10 @@ def _stable_sigmoid(z):
 class Layer:
     """Stateless unless it owns parameters; caches what backward needs.
 
-    Conv, pool, ReLU and sigmoid layers cache only in a train-mode forward
-    and drop the cache once their backward has run, so a backward without a
-    fresh train-mode forward raises ``ConfigInvalid``.  A dense layer keeps
-    its input: its ``FactoredGrad`` reads it in the optimizer step.
+    Every layer but flatten caches only in a train-mode forward and drops
+    the cache once its backward has run, so a backward without a fresh
+    train-mode forward raises ``ConfigInvalid``.  A dense layer's input
+    stays alive in its ``FactoredGrad``, which the optimizer step reads.
 
     A layer with parameters whose ``need_dx`` is False computes only its
     parameter gradients in ``backward`` and returns None.  ``ModelGraph``
@@ -95,6 +95,7 @@ class Dense(Layer):
         self.b = np.zeros(out_dim)
         self.dw = None
         self.db = None
+        self._x = None
 
     def spec(self):
         return {"kind": "dense", "out": self.w.shape[1]}
@@ -102,13 +103,17 @@ class Dense(Layer):
     def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeMismatch(f"dense expects (B, {self.w.shape[0]}), got {x.shape}")
-        self._x = x
+        # only a train-mode forward is followed by a backward
+        self._x = x if train else None
         out = kernels.matmul(x, self.w)
         out += self.b
         return out
 
     def backward(self, dout):
+        if self._x is None:
+            raise ConfigInvalid("dense backward needs a forward with train=True first")
         self.dw = FactoredGrad(self._x, dout)
+        self._x = None
         self.db = dout.sum(axis=0)
         return kernels.matmul(dout, self.w.T) if self.need_dx else None
 
@@ -242,8 +247,13 @@ class Dropout(Layer):
         return {"kind": "dropout", "rate": self.rate}
 
     def forward(self, x, train=False, rng=None):
-        if not train or self.rate == 0.0:
-            self._mask = None
+        # only a train-mode forward is followed by a backward; at rate 0
+        # its mask is True, which passes the gradient through
+        self._mask = None
+        if not train:
+            return x
+        if self.rate == 0.0:
+            self._mask = True
             return x
         if rng is None:
             raise ConfigInvalid("train-mode dropout needs an rng")
@@ -252,8 +262,9 @@ class Dropout(Layer):
 
     def backward(self, dout):
         if self._mask is None:
-            return dout
-        return dout * self._mask / (1.0 - self.rate)
+            raise ConfigInvalid("dropout backward needs a forward with train=True first")
+        mask, self._mask = self._mask, None
+        return dout if mask is True else dout * mask / (1.0 - self.rate)
 
 
 class Flatten(Layer):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genrekit.audiofeat import (
     BinStats,
@@ -86,9 +88,51 @@ def test_standardize_constant_bin_hits_floor():
 
 
 def test_standardize_dimension_mismatch():
-    stats = BinStats(np.zeros(4), np.ones(4))
+    stats = BinStats(np.full(4, 0.5), np.full(4, 2.0))
+    patches = np.ones((2, 5, 3))
     with pytest.raises(StatsDimensionMismatch):
-        standardize(np.ones((2, 5, 3)), stats)
+        standardize(patches, stats)
+    np.testing.assert_array_equal(patches, 1.0)  # refused before anything is written
+
+
+@settings(max_examples=60, deadline=None)
+@given(bins=st.sampled_from([2, 3, 5, 9, 96]), n=st.integers(1, 12), width=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_fit_bin_stats_in_bands_equal_the_masked_copy(bins, n, width, seed, data):
+    """Bands of two bins (three at an odd end) give the bits of the stats of
+    the masked copy of the training patches, for any subset of rows."""
+    rng = np.random.default_rng(seed)
+    patches = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 10), size=(n, bins, width))
+    rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                         unique=True)))
+    for got, subset in ((fit_bin_stats(patches, rows), patches[rows]),
+                        (fit_bin_stats(patches), patches)):
+        np.testing.assert_array_equal(got.mean, subset.mean(axis=(0, 2)))
+        np.testing.assert_array_equal(got.std, subset.std(axis=(0, 2)))
+
+
+def test_standardize_works_in_place_on_a_float64_array():
+    rng = np.random.default_rng(5)
+    patches = rng.normal(loc=3.0, scale=2.0, size=(6, 5, 8))
+    stats = BinStats(rng.normal(size=5), np.array([2.0, 0.5, 0.0, 1e-9, 3.0]))
+    want = (patches - stats.mean[:, None]) / np.maximum(stats.std, 1e-6)[:, None]
+    z = standardize(patches, stats)
+    assert z is patches
+    np.testing.assert_array_equal(z, want)
+
+
+@pytest.mark.parametrize("convert", [lambda a: list(a), lambda a: a.astype(np.float32)],
+                         ids=["list", "float32"])
+def test_standardize_leaves_other_inputs_unchanged(convert):
+    rng = np.random.default_rng(6)
+    patches = convert(rng.normal(size=(4, 3, 7)))
+    before = np.array(patches, copy=True)
+    stats = BinStats(rng.normal(size=3), rng.uniform(0.5, 2, size=3))
+    z = standardize(patches, stats)
+    np.testing.assert_array_equal(np.asarray(patches), before)
+    assert z.dtype == np.float64
+    np.testing.assert_array_equal(
+        z, (before.astype(np.float64) - stats.mean[:, None]) / stats.std[:, None])
 
 
 # -------------------------------------------------------------- timbre stats

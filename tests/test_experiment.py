@@ -1,6 +1,8 @@
 import errno
+import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from genrekit import binfile, zoo
 from genrekit.errors import ConfigError, ConfigInvalid, DataError, IoError
 from genrekit.experiment import (
     ExperimentConfig,
+    audio_patches,
     fit_factors,
     format_params,
     model_inputs,
@@ -142,6 +145,42 @@ def test_text_corpus_sem_appends_enrichment(small_dataset):
     i = next(k for k, it in enumerate(manifest.items) if it.enrichment)
     assert len(enriched[i]) == len(plain[i]) + len(manifest.items[i].enrichment)
     assert enriched[i][-1].startswith("wikicat_")
+
+
+# sha256 of audio_patches on the conftest catalogue (seed 3) before the
+# patches were written into one preallocated array: at width 32 every patch
+# is a window of its track, at width 96 every track is padded
+AUDIO_PATCHES_SHA256 = {
+    32: "d93177ed8c803bcdc55cd4f3e58c6d85672b313aa5b07c3b3bd2d53f4be5d83b",
+    96: "39a7f7b94f83d9d2d61cb5cc471ffa8454657d3514736b8b06a84cdbc4a6acb8",
+}
+
+
+@pytest.mark.parametrize("width", sorted(AUDIO_PATCHES_SHA256))
+def test_audio_patches_match_their_golden_digest(small_dataset, width):
+    manifest, _ = small_dataset
+    cfg = ExperimentConfig(modality="audio", settings="low-3x3", patch_width=width, seed=3)
+    patches, album_of_track = audio_patches(manifest, cfg)
+    assert patches.shape == (80, 96, width) and patches.dtype == np.float64
+    assert hashlib.sha256(patches.tobytes()).hexdigest() == AUDIO_PATCHES_SHA256[width]
+    np.testing.assert_array_equal(album_of_track, np.repeat(np.arange(40), 2))
+
+
+def test_audio_inputs_hold_no_second_copy_of_the_patches(small_dataset):
+    """The patch array is the only full-size array an audio row's input
+    path holds: its peak stays within 1.2x the patches' bytes (2.6x when
+    the patches were a list, then copied, masked and standardized anew)."""
+    manifest, tax = small_dataset
+    cfg = ExperimentConfig(modality="audio", settings="low-3x3", patch_width=96, seed=3)
+    setup = prepare_labels(manifest, tax, cfg.seed)
+    tracemalloc.start()
+    try:
+        x, _ = model_inputs(cfg, manifest, setup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (80, 1, 96, 96)
+    assert peak <= 1.2 * x.nbytes
 
 
 # --------------------------------------------------------------- experiments

@@ -595,6 +595,24 @@ def test_matmul_halves_equal_the_whole_product(shape):
         np.testing.assert_array_equal(got[1], at @ b.T)
 
 
+@settings(max_examples=12, deadline=None)
+@given(rows=st.integers(2, 64), depth=st.sampled_from([4096, 8192]),
+       width=st.integers(129, 300).filter(lambda n: n % 8))
+@example(rows=33, depth=4096, width=284)
+@example(rows=64, depth=4096, width=284)
+@example(rows=64, depth=8192, width=196)
+@example(rows=64, depth=8192, width=210)
+def test_matmul_equals_a_at_b_at_widths_not_a_multiple_of_8(rows, depth, width):
+    """Halves of these products are big enough to split, but a GEMM's last
+    ``width % 8`` columns round differently (the examples differed from
+    ``a @ b`` in their last 2-6 columns when they were split)."""
+    rng = np.random.default_rng([rows, depth, width])
+    a, b = rng.normal(size=(rows, depth)), rng.normal(size=(depth, width))
+    with workers(2):
+        got = kernels.matmul(a, b)
+    np.testing.assert_array_equal(got, a @ b)
+
+
 @pytest.mark.parametrize("shape", [(122, 2048), (2048, 15), (1024, 1031), (65536, 17)])
 def test_matmul_keeps_narrow_halves_whole(shape):
     """A half below SPLIT / 2 elements could take OpenBLAS's small-matrix

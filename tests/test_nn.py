@@ -24,7 +24,7 @@ from genrekit.nn import (
     make_optimizer,
     save_model,
 )
-from genrekit.nn.layers import Conv2d, FactoredGrad, MaxPool, ReLU, Sigmoid
+from genrekit.nn.layers import Conv2d, Dropout, FactoredGrad, MaxPool, ReLU, Sigmoid
 from genrekit.nn.model import _cosine_grad, _stable_sigmoid
 from genrekit.nn.optim import SPAN, _spans
 
@@ -88,7 +88,7 @@ def test_logistic_head_gradient_closed_form():
     model = ModelGraph((5,), [], {"kind": "logistic", "dim": 3}, seed=2)
     x = rng.normal(size=(4, 5))
     y = rng.integers(0, 2, size=(4, 3)).astype(float)
-    p = model.forward(x)
+    p = model.forward(x, train=True)
     _, dz = model.loss_grad(y)
     model.backward(dz)
     dw = model.grads()[0]
@@ -655,6 +655,47 @@ def test_dropout_requires_rng_in_train():
     from genrekit.nn.layers import Dropout
     with pytest.raises(ConfigInvalid):
         Dropout(0.5).forward(np.ones((2, 2)), train=True, rng=None)
+
+
+def test_shallow_model_backward_after_eval_forward_raises():
+    """The model of the timbre, image and fusion rows: its head caches its
+    input only in a train-mode forward, so a backward after an eval-mode
+    forward is refused, not computed from the eval batch."""
+    from genrekit.zoo import build_shallow
+    model = build_shallow(6, 3, "logistic", dropout=0.5, seed=0)
+    rng = np.random.default_rng(22)
+    x, y = rng.normal(size=(4, 6)), rng.integers(0, 2, size=(4, 3)).astype(float)
+    model.forward(x, train=False)
+    _, dz = model.loss_grad(y)
+    with pytest.raises(ConfigInvalid, match="train=True"):
+        model.backward(dz)
+    model.forward(x, train=True, rng=np.random.default_rng(23))
+    _, dz = model.loss_grad(y)
+    model.backward(dz)
+    with pytest.raises(ConfigInvalid, match="train=True"):
+        model.backward(dz)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: Dense(4, 3, rng), lambda rng: Dropout(0.5), lambda rng: Dropout(0.0)],
+    ids=["dense", "dropout", "dropout-rate-0"])
+def test_dense_and_dropout_backward_need_a_fresh_train_forward(make):
+    layer = make(np.random.default_rng(24))
+    x = np.random.default_rng(25).normal(size=(2, 4))
+    dout = np.ones(layer.forward(x).shape)
+    with pytest.raises(ConfigInvalid, match="train=True"):
+        layer.backward(dout)
+    layer.forward(x, train=True, rng=np.random.default_rng(26))
+    layer.backward(dout)
+    with pytest.raises(ConfigInvalid, match="train=True"):
+        layer.backward(dout)
+
+
+def test_rate_0_dropout_passes_the_gradient_through():
+    layer = Dropout(0.0)
+    x, dout = np.ones((2, 3)), np.arange(6.0).reshape(2, 3)
+    assert layer.forward(x, train=True) is x
+    assert layer.backward(dout) is dout
 
 
 # ------------------------------------------------------------- shape checks
