@@ -29,6 +29,7 @@ as it comes, and never removed.  One file written and read at the same
 time is not supported.
 """
 
+import itertools
 import math
 import os
 import stat
@@ -37,7 +38,8 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .errors import BadMagic, DataError, IoError, NonFiniteValue, TrailingBytes, TruncatedFile
+from .errors import (BadMagic, DataError, IoError, NonFiniteValue, ShapeMismatch, TrailingBytes,
+                     TruncatedFile)
 
 
 def read_text(path):
@@ -153,37 +155,79 @@ def write(path, *parts):
 
 
 class Reader:
-    """Reads a file's frame front to back."""
+    """Reads a file's frame front to back from its open handle ``fh``; the
+    file is ``size`` bytes long."""
 
-    def __init__(self, path, data):
-        self.path, self._data, self._pos = path, data, 4
+    def __init__(self, path, fh, size):
+        self.path, self._fh, self._size, self._pos = path, fh, size, 4
 
     def _take(self, n):
-        if n > len(self._data) - self._pos:
+        if n > self._size - self._pos:
             raise TruncatedFile(f"{self.path}: {n} more bytes needed at offset {self._pos}, "
-                                f"but the file has {len(self._data)}")
+                                f"but the file has {self._size}")
         self._pos += n
         return self._pos - n
 
+    def _read(self, buf):
+        """Fill ``buf``, a C-contiguous writable buffer, from the file position."""
+        try:
+            n = self._fh.readinto(buf)
+        except OSError as exc:
+            raise IoError(f"{self.path}: cannot read: {exc}") from exc
+        if n != memoryview(buf).nbytes:
+            raise TruncatedFile(f"{self.path}: the file ended early: it shrank while read")
+        return buf
+
     def fields(self, n):
-        return struct.unpack_from(f"<{n}I", self._data, self._take(4 * n))
+        self._take(4 * n)
+        return struct.unpack(f"<{n}I", self._read(bytearray(4 * n)))
 
     def array(self, dtype, shape):
-        """A read-only view of the next array; a float array must be finite."""
+        """The next array; a float array must be finite."""
         dtype = np.dtype(dtype)
-        count = math.prod(shape)
-        values = np.frombuffer(self._data, dtype, count, self._take(dtype.itemsize * count))
+        self._take(dtype.itemsize * math.prod(shape))
+        values = self._read(np.empty(shape, dtype))
         if dtype.kind == "f" and not np.isfinite(values).all():
             raise NonFiniteValue(f"{self.path}: non-finite value in a {dtype} array")
-        return values.reshape(shape)
+        return values
+
+    def check(self, dtype, shapes):
+        """Skip the next float arrays, one of each shape, checking that they
+        are finite through a buffer of at most 1 MiB; ``fill`` reads them."""
+        dtype = np.dtype(dtype)
+        count = sum(math.prod(shape) for shape in shapes)
+        self._checked = self._take(dtype.itemsize * count), [(dtype, tuple(s)) for s in shapes]
+        buf = np.empty(min(count, (1 << 20) // dtype.itemsize) or 1, dtype)
+        for start in range(0, count, len(buf)):
+            if not np.isfinite(self._read(buf[:count - start])).all():
+                raise NonFiniteValue(f"{self.path}: non-finite value in a {dtype} array")
+
+    def fill(self, arrays):
+        """Read the arrays the last ``check`` passed into ``arrays``:
+        C-contiguous, and of the checked dtype and shapes."""
+        at, blocks = self._checked
+        if [(out.dtype, out.shape) for out in arrays] != blocks:
+            raise ShapeMismatch(f"{self.path}: the arrays are not the checked blocks")
+        self._fh.seek(at)
+        for out in arrays:
+            self._read(out)
 
     def strings(self, n):
         """The next `n` strings, as `strings` writes them."""
-        spans = [(self._take(k), k) for k in self.array("<u4", (n,)).tolist()]
+        sizes = self.array("<u4", (n,)).tolist()
+        self._take(sum(sizes))
+        data = self._read(bytearray(sum(sizes)))
         try:
-            return [self._data[at:at + k].decode("utf-8") for at, k in spans]
+            return [data[at - k:at].decode("utf-8")
+                    for at, k in zip(itertools.accumulate(sizes), sizes)]
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: a string is not UTF-8: {exc}") from exc
+
+    def end(self):
+        """TrailingBytes unless every byte of the file has been read."""
+        if self._pos != self._size:
+            raise TrailingBytes(f"{self.path}: {self._size - self._pos} bytes after the last "
+                                "payload")
 
 
 @contextmanager
@@ -191,13 +235,13 @@ def reader(path, magic):
     """A Reader over `path`, whose magic must be `magic`; leaving the block
     checks every byte was read."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise IoError(f"{path}: cannot read: {exc}") from exc
-    if data[:4] != magic:
-        raise BadMagic(f"{path}: magic {data[:4]!r} is not {magic!r}")
-    frame = Reader(path, data)
-    yield frame
-    if frame._pos != len(data):
-        raise TrailingBytes(f"{path}: {len(data) - frame._pos} bytes after the last payload")
+    with fh:
+        frame = Reader(path, fh, os.fstat(fh.fileno()).st_size)
+        head = bytes(frame._read(bytearray(min(4, frame._size))))
+        if head != magic:
+            raise BadMagic(f"{path}: magic {head!r} is not {magic!r}")
+        yield frame
+        frame.end()

@@ -17,11 +17,13 @@ filters over 96x96 patches, 2x4 pool), where a whole batch would unroll to
 fused forward in runs of whole pooling-window rows, skipping conv rows and
 columns that no window reads, and a ``need_dx=False`` backward's dw product
 in runs of whole kernel rows (col2im needs all of a sample's columns, so
-with ``need_dx`` the sample stays whole).  Each band's GEMM gives its
-columns of the whole product bit for bit, so a sample is cut only where
-every band is a multiple of 8 columns wide and at least ``SPLIT``
-multiply-adds, and, in the forward, the whole product's last ``P % 8``
-columns are ones no window reads; otherwise it stays whole.
+with ``need_dx`` the sample stays whole), where the rule below allows.
+
+One rule, ``cut_keeps_bits``, decides every cut of a product into column
+pieces: they give the whole product's bits only if each is a multiple of 8
+columns wide, computes none of the whole product's last ``width % 8``
+columns and is at least ``SPLIT`` multiply-adds (OpenBLAS rounds a GEMM's
+last ``n % 8`` columns, a gemv and its small-matrix kernel differently).
 
 Pooling reads the input through its ph*pw strided offset views, one per
 window position, and takes an in-place ``np.maximum`` over them: no window
@@ -55,11 +57,9 @@ thread count.  Every kernel is deterministic run-to-run.
 Three callers share the one pool and its thread count (``_threads``) and
 run on it through ``_run_groups``: the conv kernels, ``matmul`` and the
 optimizer steps of ``nn.optim``, which update the spans of their parameter
-blocks on it.  ``matmul`` runs a product whose right-hand column halves
-are a multiple of 8 columns wide and hold at least ``SPLIT / 2`` elements
-each as those two halves, written into one output; each half gives the
-bits of those columns of the whole product, where a split of the batch
-rows would not.
+blocks on it.  ``matmul`` runs a product as two column halves of the
+right-hand operand, written into one output, where the rule accepts them;
+a split of the batch rows would not keep the bits.
 
 The pool is the only parallelism: importing this module sets numpy's bundled
 OpenBLAS to one thread, process-wide and whatever ``OPENBLAS_NUM_THREADS``
@@ -78,7 +78,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 COLS = 1 << 18  # column-buffer elements per sample group (2 MiB of float64)
 MAX_WORKERS = 2  # threads a call may use by default, the caller included
-SPLIT = 1 << 20  # matmul splits b where each column half holds at least SPLIT/2 elements
+SPLIT = 1 << 20  # multiply-adds each piece of a cut product must reach (cut_keeps_bits)
 
 _workers = None  # threads a call may use; None: one per usable CPU, at most MAX_WORKERS
 _pool = None  # the _workers - 1 pool threads, built by the first call that needs them
@@ -142,20 +142,22 @@ def _unroll(x, kh, kw, buf, q0=0, q1=None):
     return cols
 
 
-def _bands(units, width, depth, macs):
-    """A sample's GEMM cut into bands of whole units: [(u0, u1), ...] over
-    ``units`` units of ``width`` GEMM columns, each column ``depth``
-    column-buffer elements and ``macs`` multiply-adds, as many units per
-    band as fit in ``COLS`` elements.  None (keep the sample whole) unless
-    every band is a multiple of 8 columns wide and at least ``SPLIT``
-    multiply-adds: OpenBLAS rounds the last ``n % 8`` columns of a GEMM, a
-    gemv and its small-matrix kernel differently."""
+def _bands(units, width, depth):
+    """A sample's GEMM cut into bands of whole units, [(u0, u1), ...], for
+    ``cut_keeps_bits`` to judge: ``units`` units of ``width`` GEMM columns of
+    ``depth`` column-buffer elements each, as many per band as fit in ``COLS``
+    elements and make a multiple of 8 columns ([] where none fit)."""
     per = COLS // (width * depth)
     per -= per % (8 // np.gcd(width, 8))
-    last = units - (units - 1) // per * per if per else 0  # the last band is the narrowest
-    if last * width % 8 or last * width * macs < SPLIT:
-        return None
-    return [(u, min(units, u + per)) for u in range(0, units, per)]
+    return [(u, min(units, u + per)) for u in range(0, units, per)] if per else []
+
+
+def cut_keeps_bits(rows, depth, width, pieces):
+    """Whether column pieces of a (rows x depth) @ (depth x width) product
+    give its bits, by the rule of the module docstring: ``pieces`` is [(n,
+    stop), ...], a piece computing ``n`` columns, all before column ``stop``."""
+    return bool(pieces) and all(n % 8 == 0 and stop <= width - width % 8
+                                and rows * depth * n >= SPLIT for n, stop in pieces)
 
 
 def _run_groups(B, g, slots, task, merge=None, window=None):
@@ -210,20 +212,16 @@ def _run_groups(B, g, slots, task, merge=None, window=None):
 
 
 def matmul(a, b):
-    """``a @ b`` of 2-D float64 arrays.  Where both column halves of ``b``
-    are a multiple of 8 columns wide and hold at least SPLIT / 2 elements,
-    the halves run on two threads, each writing its columns of one output,
-    and give the bits of the whole product; otherwise the product runs
-    whole.  OpenBLAS rounds the last ``n % 8`` columns of a GEMM
-    differently, so a width that is not a multiple of 8 is not split (a
-    (64x4096) @ (4096x284) product in halves differed in columns 280-283).
-    The size keeps each half on the whole product's BLAS path: a one-row
-    ``a`` is a gemv either way, and from two rows on each half is over 10^6
-    multiply-adds, above which OpenBLAS no longer uses its small-matrix
-    kernel (that kernel gave a half of a 2048x15 product other bits)."""
+    """``a @ b`` of 2-D float64 arrays: ``b``'s two column halves on two
+    threads, each writing its columns of one output, where
+    ``cut_keeps_bits`` accepts them, and the whole product otherwise.  The
+    halves count ``a`` as two rows whatever its height, so ``b`` alone
+    decides: one row is a gemv, whole or cut, and counting a taller ``a``'s
+    rows would also split smaller products, such as the text MLP's
+    122x2048 layer, where a second thread has not been shown to pay."""
     n = b.shape[1]
     half = -(-n // 16) * 8
-    slots = _threads(2) if n % 8 == 0 and 2 * b.shape[0] * (n - half) >= SPLIT else 1
+    slots = _threads(2) if cut_keeps_bits(2, *b.shape, [(half, half), (n - half, n)]) else 1
     if slots == 1:
         return a @ b
     out = np.empty((a.shape[0], n))
@@ -244,7 +242,8 @@ def conv2d_forward(x, w, b, pool=None, need_arg=False):
     unfused chain: added after, fl(x1 + b) can tie fl(x2 + b) with x1 < x2.
     A pooled sample over ``COLS`` forms its map in ``_bands`` of whole
     pooling-window rows, without the conv rows and columns that no window
-    reads, and pools it once every band is done.
+    reads, where ``cut_keeps_bits`` accepts them, and pools it once every
+    band is done.
     """
     F, _, KH, KW = w.shape
     B, OH, OW = x.shape[0], x.shape[2] - KH + 1, x.shape[3] - KW + 1
@@ -256,10 +255,10 @@ def conv2d_forward(x, w, b, pool=None, need_arg=False):
     oh, ow, bands = OH, OW, [(0, OH)]  # the conv rows and columns computed, in bands of rows
     if pool and K * P > COLS:
         ph, pw = pool
-        units = _bands(OH // ph, ph * (OW // pw * pw), K, F * K)
-        # the whole product's last P % 8 columns must be ones that no window reads
-        if units and P % 8 <= (OH - OH // ph * ph) * OW + OW % pw:
-            oh, ow, bands = OH // ph * ph, OW // pw * pw, [(u0 * ph, u1 * ph) for u0, u1 in units]
+        read = OW // pw * pw  # the columns that windows read
+        cut = [(u0 * ph, u1 * ph) for u0, u1 in _bands(OH // ph, ph * read, K)]
+        if cut_keeps_bits(F, K, P, [((r1 - r0) * read, (r1 - 1) * OW + read) for r0, r1 in cut]):
+            oh, ow, bands = cut[-1][1], read, cut
     cols = np.empty((slots, K * g * (bands[0][1] - bands[0][0]) * ow))
     convs = np.empty((slots, F * g * P))
 
@@ -306,8 +305,9 @@ def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
         whole = dout
     else:
         whole = np.empty((B, 1, OH, OW)) if F == 1 else None
-    bands = _bands(C * KH, KW, P, F * P) if not need_dx and K * P > COLS else None
-    bands = bands or [(0, C * KH)]
+    cut = _bands(C * KH, KW, P) if not need_dx and K * P > COLS else []
+    keep = cut_keeps_bits(F, P, K, [((q1 - q0) * KW, q1 * KW) for q0, q1 in cut])
+    bands = cut if keep else [(0, C * KH)]
     cols = np.empty((slots, (bands[0][1] - bands[0][0]) * KW * g * P))
     window = 2 * slots  # groups a thread may run ahead of the merged ones
     dws = np.empty((min(window, -(-B // g)), F, K))  # group i's dw product: dws[i % len]

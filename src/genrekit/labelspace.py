@@ -234,6 +234,6 @@ def save_factor_model(model, path):
 def load_factor_model(path):
     with binfile.reader(path, FACTOR_MAGIC) as frame:
         n, d = frame.fields(2)
-        label_factors = frame.array("<f8", (n, d)).copy()
-        singular_values = frame.array("<f8", (d,)).copy()
+        label_factors = frame.array("<f8", (n, d))
+        singular_values = frame.array("<f8", (d,))
     return FactorModel(d, label_factors, singular_values)

@@ -71,8 +71,8 @@ class FactoredGrad:
 
     def rows(self, r0, r1, out):
         """Rows ``r0:r1`` of the gradient, written into ``out`` of shape
-        ``(r1 - r0, width)``.  BLAS forms a one-row block with gemv, which
-        can round differently from the whole product."""
+        ``(r1 - r0, width)``.  Which blocks of rows keep the whole product's
+        bits is for ``nn.optim``'s spans to say (see its module docstring)."""
         return np.matmul(self.x[:, r0:r1].T, self.dout, out=out)
 
 
@@ -81,7 +81,7 @@ class Dense(Layer):
     which the optimizer step forms one span of rows at a time; changing
     the batch in place before the step changes the gradient.  ``x @ w`` and
     ``dout @ w.T`` go through ``kernels.matmul``, which runs a wide weight's
-    two column halves on two threads."""
+    two column halves on two threads where the cut rule allows."""
 
     params = ("w", "b")
 

@@ -325,10 +325,11 @@ def load_model(path, into=None):
     checkpoint's parameters written into its own arrays; the header must
     then be the one ``save_model`` writes for ``into``.  The payload must
     hold exactly the parameters the header declares; that is checked, and
-    the whole file read, before any weight is allocated or written.  A
-    header that declares no valid graph, or not ``into``'s, is a
-    ``BadModelHeader``: a corrupt checkpoint is input data (``DataError``),
-    not configuration."""
+    every block checked finite through a bounded buffer, before any weight
+    is allocated or written, and then each block is read straight into its
+    parameter array.  A header that declares no valid graph, or not
+    ``into``'s, is a ``BadModelHeader``: a corrupt checkpoint is input data
+    (``DataError``), not configuration."""
     with binfile.reader(path, MODEL_MAGIC) as frame:
         text = frame.strings(1)[0]
         try:
@@ -337,7 +338,8 @@ def load_model(path, into=None):
             raise BadModelHeader(f"{path}: {exc}") from exc
         if into is not None and text != _header(into):
             raise BadModelHeader(f"{path}: the header is not the model's own")
-        arrays = [frame.array("<f8", block) for *_, blocks in plan for block in blocks]
-    model = into if into is not None else ModelGraph(*args, seed)
-    model.set_params(arrays)
+        frame.check("<f8", [block for *_, blocks in plan for block in blocks])
+        frame.end()
+        model = into if into is not None else ModelGraph(*args, seed)
+        frame.fill([getattr(layer, attr) for _, layer, attr in model.param_blocks()])
     return model

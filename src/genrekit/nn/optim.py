@@ -11,8 +11,9 @@ An array's span is ``SPAN`` elements.  A dense weight's gradient is a
 ``max(2, SPAN // width)`` whole rows, formed into the slot by one GEMM just
 before they are updated, so no weight-sized gradient array exists.  A
 one-row tail joins the span before it, which then holds at most ``SPAN +
-width`` elements (three rows where the width exceeds ``SPAN / 2``): BLAS
-forms a one-row product with gemv, which rounds differently.  The factors
+width`` elements (three rows where the width exceeds ``SPAN / 2``): a
+one-row product is a gemv, which rounds differently.  This is a cut of
+rows; ``kernels``' cut rule covers cuts of columns only.  The factors
 are held without copying, so a caller that changes its batch in place
 between backward and step changes the gradient.
 
@@ -26,10 +27,10 @@ thread).
 Each element sees the same floating-point operations, in the same order, as
 the whole-array formulas in the docstrings, whatever the thread count.  A
 span of rows equals those rows of the whole GEMM where the width is a
-multiple of 8 and on every dense shape the benchmark trains; elsewhere
-OpenBLAS may round the last ``width % 8`` columns differently, within the
-dot-product error bound ``2 * batch * eps * (|x|.T @ |dout|)`` that the
-tests check.
+multiple of 8 and on every dense shape the benchmark trains; elsewhere its
+last ``width % 8`` columns, which the rule in ``kernels`` sets apart, may
+differ within the dot-product error bound ``2 * batch * eps * (|x|.T @
+|dout|)`` that the tests check.
 """
 
 import inspect
@@ -61,8 +62,7 @@ def _spans(grad):
     """Flat offsets that cut ``grad`` into the spans a step updates: SPAN
     elements of an array, or ``max(2, SPAN // width)`` whole rows of a
     factored gradient, each span formed by one GEMM.  A one-row tail joins
-    the span before it, because BLAS forms a one-row product with gemv,
-    which rounds differently from the whole GEMM."""
+    the span before it (see the module docstring)."""
     if isinstance(grad, np.ndarray):
         return list(range(0, grad.size, SPAN)) + [grad.size]
     rows, width = grad.shape

@@ -316,6 +316,6 @@ def load_feature_vectors(path):
     """(matrix, item ids); DuplicateId if an id names two rows."""
     with binfile.reader(path, FEATURE_MAGIC) as frame:
         m, dim = frame.fields(2)
-        matrix, ids = frame.array("<f8", (m, dim)).copy(), frame.strings(m)
+        matrix, ids = frame.array("<f8", (m, dim)), frame.strings(m)
     _refuse_repeated(ids, path)
     return matrix, ids

@@ -620,3 +620,65 @@ def test_matmul_keeps_narrow_halves_whole(shape):
     with workers(2):
         kernels.matmul(np.ones((2, shape[0])), np.ones(shape))
         assert kernels._pool is None
+
+
+# ------------------------------------------------------------ the one cut rule
+
+def pieces_of(ranges):
+    """(n, stop) pieces of contiguous column ranges [(c0, c1), ...]."""
+    return [(c1 - c0, c1) for c0, c1 in ranges]
+
+
+@pytest.mark.parametrize("rows,depth,width,pieces", [
+    # a split (64x4096) @ (4096x284) differed from a @ b in columns 280-283
+    (64, 4096, 284, pieces_of([(0, 144), (144, 284)])),
+    # a 70x3 kernel's 210 dw columns of a 96x96 sample, in bands of 32 kernel rows
+    (64, 27 * 94, 210, pieces_of([(q0 * 3, q1 * 3) for q0, q1 in kernels._bands(70, 3, 27 * 94)])),
+    # a 96x60 input under a 70x4 kernel and a 1x2 pool: the conv map is 27x57,
+    # and the last band computes column 26*57 + 55, one of the last 1539 % 8
+    (64, 280, 27 * 57, [((r1 - r0) * 56, (r1 - 1) * 57 + 56)
+                        for r0, r1 in kernels._bands(27, 56, 280)]),
+    # each half of a (2x512) @ (512x2032) product is 8 columns under SPLIT
+    (2, 512, 2032, pieces_of([(0, 1016), (1016, 2032)])),
+    (64, 4096, 4096, []),
+], ids=["halves-of-a-width-284-product", "dw-of-a-70x3-kernel", "pool-reads-the-last-columns",
+        "just-under-split", "no-pieces"])
+def test_cut_keeps_bits_refuses_cuts_that_round_differently(rows, depth, width, pieces):
+    assert not kernels.cut_keeps_bits(rows, depth, width, pieces)
+
+
+def test_cut_keeps_bits_accepts_the_first_audio_stage_bands_and_halves_at_split():
+    """The cuts the refusals sit next to: halves of exactly SPLIT
+    multiply-adds, and both band cuts of a 96x96 sample under a 70x4 kernel
+    and a 2x4 pool (conv map 27x93, P = 2511)."""
+    assert kernels.cut_keeps_bits(2, 512, 2048, pieces_of([(0, 1024), (1024, 2048)]))
+    forward = [((r1 - r0) * 2 * 92, (2 * r1 - 1) * 93 + 92)
+               for r0, r1 in kernels._bands(13, 2 * 92, 280)]
+    dw = pieces_of([(q0 * 4, q1 * 4) for q0, q1 in kernels._bands(70, 4, 2511)])
+    assert len(forward) > 1 and kernels.cut_keeps_bits(64, 280, 2511, forward)
+    assert len(dw) > 1 and kernels.cut_keeps_bits(64, 2511, 280, dw)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(2, 64), depth=st.integers(64, 4096),
+       extra=st.lists(st.integers(0, 8), min_size=1, max_size=3),
+       unread=st.integers(0, 2), tail=st.integers(0, 7))
+@example(rows=1, depth=4096, extra=[0, 1], unread=0, tail=3)  # one row: gemv
+def test_every_cut_the_rule_accepts_gives_the_whole_products_bits(rows, depth, extra, unread,
+                                                                  tail):
+    """Contiguous column pieces, each 8 * k columns over the narrowest the
+    rule accepts, then ``unread`` groups of 8 columns and ``tail`` columns
+    that no piece computes: each piece, written into its columns of one
+    output as ``matmul`` writes its halves, equals those columns of
+    ``a @ b``."""
+    least = -(-kernels.SPLIT // (8 * rows * depth)) * 8
+    stops = list(itertools.accumulate(least + 8 * k for k in extra))
+    ranges = list(zip([0] + stops[:-1], stops))
+    width = stops[-1] + 8 * unread + tail
+    assert kernels.cut_keeps_bits(rows, depth, width, pieces_of(ranges))
+    rng = np.random.default_rng([rows, depth, width])
+    a, b = rng.normal(size=(rows, depth)), rng.normal(size=(depth, width))
+    got = np.zeros((rows, width))
+    for c0, c1 in ranges:
+        np.matmul(a, b[:, c0:c1], out=got[:, c0:c1])
+    np.testing.assert_array_equal(got[:, :stops[-1]], (a @ b)[:, :stops[-1]])

@@ -834,6 +834,48 @@ def test_checkpoint_huge_header_is_rejected_before_allocating(tmp_path, n):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda data: data[:-8] + np.array([np.nan]).tobytes(), id="nan-in-the-last-block"),
+    pytest.param(lambda data: data + b"\x00", id="trailing-byte"),
+    pytest.param(lambda data: data[:-1], id="truncated"),
+])
+def test_restore_writes_nothing_unless_the_whole_file_checks_out(tmp_path, corrupt):
+    """A checkpoint of the model's own graph that fails only at its end
+    leaves every parameter of the model as it was."""
+    path = tmp_path / "m.munn"
+    save_model(small_mlp(seed=5), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    model = small_mlp(seed=5)
+    for _, layer, attr in model.param_blocks():
+        getattr(layer, attr).fill(0.5)
+    with pytest.raises(DataError):
+        load_model(path, into=model)
+    assert all((p == 0.5).all() for p in model.get_params())
+
+
+def test_restoring_the_text_mlp_holds_no_weight_sized_buffer(tmp_path):
+    """Restoring the text MLP's ~4.48M parameters (35.8 MB) into the model
+    peaks under 4 MB: each block is checked finite through a bounded buffer
+    and then read straight into its parameter array."""
+    from genrekit.zoo import build_text_mlp
+    model = build_text_mlp(16, "cosine", in_dim=122, seed=3)
+    path = tmp_path / "m.munn"
+    save_model(model, path)
+    want = model.get_params()
+    for _, layer, attr in model.param_blocks():
+        getattr(layer, attr).fill(0.0)
+    tracemalloc.start()
+    try:
+        assert load_model(path, into=model) is model
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4.4e6 < model.n_params() < 4.5e6
+    assert peak < 4_000_000
+    for got, expect in zip(model.get_params(), want, strict=True):
+        np.testing.assert_array_equal(got, expect)
+
+
 # --------------------------------------------------------------- determinism
 
 def test_training_steps_bit_deterministic():
