@@ -63,10 +63,7 @@ class ExperimentConfig:
         if self.settings not in MODALITIES[self.modality].settings:
             raise ConfigError(
                 f"settings {self.settings!r} invalid for modality {self.modality!r}")
-        for name, least in _INT_FIELD_MINIMA.items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ConfigInvalid(f"{name} must be an integer >= {least}, got {value!r}")
+        zoo.check_ints(self, _INT_FIELD_MINIMA)
         files = self.feature_files
         if not isinstance(files, dict) or not all(
                 k in zoo.MODALITY_ORDER and isinstance(v, str) for k, v in files.items()):

@@ -30,12 +30,16 @@ def _stable_sigmoid(z):
 
 
 class Layer:
-    """Stateless unless it owns parameters; caches what backward needs.
+    """Stateless unless it owns parameters, but for one saved record.
 
-    Every layer but flatten caches only in a train-mode forward and drops
-    the cache once its backward has run, so a backward without a fresh
-    train-mode forward raises ``ConfigInvalid``.  A dense layer's input
-    stays alive in its ``FactoredGrad``, which the optimizer step reads.
+    A train-mode forward saves the one record its backward reads
+    (``_save``), an eval-mode forward clears it, and backward takes it
+    (``_take``), so a backward without a fresh train-mode forward raises
+    ``ConfigInvalid``.  The records: dense its input; conv2d its input and
+    the fused pool's argmax; maxpool its argmax and input shape; relu its
+    mask; sigmoid its output; dropout its mask (True where nothing is
+    dropped); flatten its input shape.  A dense layer's input stays alive
+    in its ``FactoredGrad``, which the optimizer step reads.
 
     A layer with parameters whose ``need_dx`` is False computes only its
     parameter gradients in ``backward`` and returns None.  ``ModelGraph``
@@ -44,6 +48,7 @@ class Layer:
 
     params = ()  # names of parameter attributes
     need_dx = True
+    _record = None
 
     def spec(self):
         raise NotImplementedError
@@ -54,12 +59,22 @@ class Layer:
     def backward(self, dout):
         raise NotImplementedError
 
+    def _save(self, train, record):
+        self._record = record if train else None
+
+    def _take(self):
+        record, self._record = self._record, None
+        if record is None:
+            raise ConfigInvalid(
+                f"{self.spec()['kind']} backward needs a forward with train=True first")
+        return record
+
 
 class FactoredGrad:
     """A dense layer's weight gradient ``x.T @ dout``, kept as its two
     factors so that no array the size of the weights is allocated for it.
 
-    It holds the layer's cached input ``x`` and ``dout`` without copying
+    It holds the layer's saved input ``x`` and ``dout`` without copying
     them: a caller that changes its batch in place between backward and
     the optimizer step changes the gradient too.
     """
@@ -77,9 +92,9 @@ class FactoredGrad:
 
 
 class Dense(Layer):
-    """``backward`` leaves ``dw`` as a ``FactoredGrad`` of the cached batch,
-    which the optimizer step forms one span of rows at a time; changing
-    the batch in place before the step changes the gradient.  ``x @ w`` and
+    """``backward`` leaves ``dw`` as a ``FactoredGrad`` of its saved input
+    batch, which the optimizer step forms one span of rows at a time;
+    changing the batch in place before the step changes the gradient.  ``x @ w`` and
     ``dout @ w.T`` go through ``kernels.matmul``, which runs a wide weight's
     two column halves on two threads where the cut rule allows."""
 
@@ -95,7 +110,6 @@ class Dense(Layer):
         self.b = np.zeros(out_dim)
         self.dw = None
         self.db = None
-        self._x = None
 
     def spec(self):
         return {"kind": "dense", "out": self.w.shape[1]}
@@ -103,17 +117,13 @@ class Dense(Layer):
     def forward(self, x, train=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeMismatch(f"dense expects (B, {self.w.shape[0]}), got {x.shape}")
-        # only a train-mode forward is followed by a backward
-        self._x = x if train else None
+        self._save(train, x)
         out = kernels.matmul(x, self.w)
         out += self.b
         return out
 
     def backward(self, dout):
-        if self._x is None:
-            raise ConfigInvalid("dense backward needs a forward with train=True first")
-        self.dw = FactoredGrad(self._x, dout)
-        self._x = None
+        self.dw = FactoredGrad(self._take(), dout)
         self.db = dout.sum(axis=0)
         return kernels.matmul(dout, self.w.T) if self.need_dx else None
 
@@ -134,7 +144,6 @@ class Conv2d(Layer):
         self.b = np.zeros(n_filters)
         self.dw = None
         self.db = None
-        self._x = self._arg = None
 
     def spec(self):
         f, _, kh, kw = self.w.shape
@@ -144,21 +153,19 @@ class Conv2d(Layer):
         if x.ndim != 4 or x.shape[1] != self.w.shape[1]:
             raise ShapeMismatch(f"conv2d expects (B, {self.w.shape[1]}, H, W), got {x.shape}")
         x = np.ascontiguousarray(x)
-        # only a train-mode forward is followed by a backward
-        self._x = x if train else None
         if self.pool is None:
-            return kernels.conv2d_forward(x, self.w, self.b)
-        out, self._arg = kernels.conv2d_forward(x, self.w, self.b, pool=self.pool,
-                                                need_arg=train)
+            out, arg = kernels.conv2d_forward(x, self.w, self.b), None
+        else:
+            out, arg = kernels.conv2d_forward(x, self.w, self.b, pool=self.pool,
+                                              need_arg=train)
+        self._save(train, (x, arg))
         return out
 
     def backward(self, dout):
-        if self._x is None:
-            raise ConfigInvalid("conv2d backward needs a forward with train=True first")
+        x, arg = self._take()
         dx, self.dw, self.db = kernels.conv2d_backward(
-            self._x, self.w, np.ascontiguousarray(dout), need_dx=self.need_dx,
-            pool=self.pool, arg=self._arg)
-        self._x = self._arg = None
+            x, self.w, np.ascontiguousarray(dout), need_dx=self.need_dx,
+            pool=self.pool, arg=arg)
         return dx
 
 
@@ -173,7 +180,6 @@ class MaxPool(Layer):
             raise ConfigInvalid("pool dims must be >= 1")
         self.ph = ph
         self.pw = pw
-        self._arg = None
 
     def spec(self):
         return {"kind": "maxpool", "ph": self.ph, "pw": self.pw}
@@ -181,57 +187,42 @@ class MaxPool(Layer):
     def forward(self, x, train=False, rng=None):
         if self.fused:
             return x
-        self._shape = x.shape
-        # only a train-mode forward is followed by a backward
-        out, self._arg = kernels.maxpool_forward(x, self.ph, self.pw, need_arg=train)
+        out, arg = kernels.maxpool_forward(x, self.ph, self.pw, need_arg=train)
+        self._save(train, (arg, x.shape))
         return out
 
     def backward(self, dout):
         if self.fused:
             return dout
-        if self._arg is None:
-            raise ConfigInvalid("maxpool backward needs a forward with train=True first")
-        dx = kernels.maxpool_backward(dout, self._arg, self._shape, self.ph, self.pw)
-        self._arg = None
-        return dx
+        arg, shape = self._take()
+        return kernels.maxpool_backward(dout, arg, shape, self.ph, self.pw)
 
 
 class ReLU(Layer):
-    _mask = None
-
     def spec(self):
         return {"kind": "relu"}
 
     def forward(self, x, train=False, rng=None):
         mask = x > 0
-        self._mask = mask if train else None
+        self._save(train, mask)
         return np.where(mask, x, 0.0)
 
     def backward(self, dout):
-        if self._mask is None:
-            raise ConfigInvalid("relu backward needs a forward with train=True first")
-        dx = np.where(self._mask, dout, 0.0)
-        self._mask = None
-        return dx
+        return np.where(self._take(), dout, 0.0)
 
 
 class Sigmoid(Layer):
-    _y = None
-
     def spec(self):
         return {"kind": "sigmoid"}
 
     def forward(self, x, train=False, rng=None):
         y = _stable_sigmoid(x)
-        self._y = y if train else None
+        self._save(train, y)
         return y
 
     def backward(self, dout):
-        if self._y is None:
-            raise ConfigInvalid("sigmoid backward needs a forward with train=True first")
-        dx = dout * self._y * (1.0 - self._y)
-        self._y = None
-        return dx
+        y = self._take()
+        return dout * y * (1.0 - y)
 
 
 class Dropout(Layer):
@@ -241,29 +232,21 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ConfigInvalid("dropout rate must be in [0, 1)")
         self.rate = rate
-        self._mask = None
 
     def spec(self):
         return {"kind": "dropout", "rate": self.rate}
 
     def forward(self, x, train=False, rng=None):
-        # only a train-mode forward is followed by a backward; at rate 0
-        # its mask is True, which passes the gradient through
-        self._mask = None
-        if not train:
-            return x
-        if self.rate == 0.0:
-            self._mask = True
-            return x
-        if rng is None:
+        # the mask is True where nothing is dropped: at rate 0 or in eval mode
+        drop = train and self.rate > 0.0
+        if drop and rng is None:
             raise ConfigInvalid("train-mode dropout needs an rng")
-        self._mask = rng.random(x.shape) >= self.rate
-        return x * self._mask / (1.0 - self.rate)
+        mask = rng.random(x.shape) >= self.rate if drop else True
+        self._save(train, mask)
+        return x if mask is True else x * mask / (1.0 - self.rate)
 
     def backward(self, dout):
-        if self._mask is None:
-            raise ConfigInvalid("dropout backward needs a forward with train=True first")
-        mask, self._mask = self._mask, None
+        mask = self._take()
         return dout if mask is True else dout * mask / (1.0 - self.rate)
 
 
@@ -272,8 +255,8 @@ class Flatten(Layer):
         return {"kind": "flatten"}
 
     def forward(self, x, train=False, rng=None):
-        self._shape = x.shape
+        self._save(train, x.shape)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        return dout.reshape(self._take())

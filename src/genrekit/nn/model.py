@@ -146,7 +146,6 @@ class ModelGraph:
             if isinstance(conv, Conv2d) and isinstance(pool, MaxPool):
                 conv.pool = (pool.ph, pool.pw)
                 pool.fused = True
-        self._out = None
         # backward stops at the lowest layer with parameters (the head at
         # the latest): no caller reads the input gradient below it
         stack = self.layers + [self.head_dense]
@@ -155,33 +154,27 @@ class ModelGraph:
 
     # ------------------------------------------------------------ execution
 
-    def forward(self, x, train=False, rng=None):
+    def features(self, x, train=False, rng=None):
+        """Penultimate activations of ``x``: the input to the head dense layer."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ShapeMismatch(f"expected batch of {self.input_shape}, got {x.shape}")
         for layer in self.layers:
             x = layer.forward(x, train=train, rng=rng)
-        self._features = x
-        z = self.head_dense.forward(x, train=train, rng=rng)
-        if self.head["kind"] == "logistic":
-            self._out = _stable_sigmoid(z)
-        else:
-            self._out = z
-        return self._out
+        return x
 
-    def features(self):
-        """Penultimate activations: the input to the head dense layer."""
-        return self._features
+    def forward(self, x, train=False, rng=None):
+        z = self.head_dense.forward(self.features(x, train, rng), train=train, rng=rng)
+        return _stable_sigmoid(z) if self.head["kind"] == "logistic" else z
 
     def loss(self, output, targets):
         if self.head["kind"] == "logistic":
             return loss_logistic(output, targets)
         return loss_cosine(output, targets)
 
-    def loss_grad(self, targets):
-        """Loss at the cached forward output and its gradient w.r.t. the
+    def loss_grad(self, out, targets):
+        """Loss at a forward's output ``out`` and its gradient w.r.t. the
         head dense output."""
-        out = self._out
         loss = self.loss(out, targets)
         if self.head["kind"] == "logistic":
             dz = (out - targets) / out.size
@@ -190,7 +183,7 @@ class ModelGraph:
         return loss, dz
 
     def backward(self, dz):
-        """Parameter gradients of the cached forward pass, given the loss
+        """Parameter gradients of the last train-mode forward, given the loss
         gradient w.r.t. the head dense output.  Returns nothing."""
         dx = self.head_dense.backward(dz)
         for layer in reversed(self.layers[self._bottom:]):
@@ -232,7 +225,7 @@ class ModelGraph:
 
     def params_and_grads(self):
         """(parameter, gradient) pairs for an optimizer step; a dense weight
-        gradient is a ``FactoredGrad`` of the cached batch."""
+        gradient is a ``FactoredGrad`` of its layer's saved input."""
         return [(getattr(layer, attr), getattr(layer, "d" + attr))
                 for _, layer, attr in self.param_blocks()]
 
@@ -245,8 +238,8 @@ def grad_check(model, x, targets, step=1e-4, tolerance=1e-4,
     Every forward pass gets a fresh generator seeded with `seed`, so every
     pass draws the same dropout masks.
     """
-    model.forward(x, train=True, rng=np.random.default_rng(seed))
-    _, dz = model.loss_grad(targets)
+    out = model.forward(x, train=True, rng=np.random.default_rng(seed))
+    _, dz = model.loss_grad(out, targets)
     model.backward(dz)
     analytic = [g.copy() for g in model.grads()]
 

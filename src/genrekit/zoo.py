@@ -124,6 +124,15 @@ def build_shallow(in_dim, out_dim, head, dropout=0.0, seed=0):
 
 # ------------------------------------------------------------------ training
 
+def check_ints(config, minima):
+    """ConfigInvalid unless each field of ``config`` that ``minima`` names is
+    an integer no less than its least valid value there."""
+    for name, least in minima.items():
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ConfigInvalid(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 32
@@ -131,6 +140,9 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     optimizer: dict = field(default_factory=lambda: {"kind": "adam", "lr": 1e-3})
+
+    def __post_init__(self):
+        check_ints(self, {"batch_size": 1, "epochs": 0, "patience": 0, "seed": 0})
 
 
 def _epoch_loss(model, x, y, batch_size):
@@ -179,8 +191,8 @@ def train(model, x_train, y_train, x_val=None, y_val=None, config=None, checkpoi
             idx = order[lo:lo + config.batch_size]
             xb = x_train[idx]
             yb = y_train[idx]
-            model.forward(xb, train=True, rng=rng)
-            loss, dz = model.loss_grad(yb)
+            out = model.forward(xb, train=True, rng=rng)
+            loss, dz = model.loss_grad(out, yb)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"epoch {epoch}, batch at {lo}: loss={loss}")
             model.backward(dz)
@@ -217,18 +229,13 @@ def save_history(history, path):
 
 def extract_features(model, x, batch_size=64):
     """Penultimate activations (input to the head dense layer), eval mode."""
-    chunks = []
-    for lo in range(0, x.shape[0], batch_size):
-        model.forward(x[lo:lo + batch_size], train=False)
-        chunks.append(model.features().copy())
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate([model.features(x[lo:lo + batch_size])
+                           for lo in range(0, x.shape[0], batch_size)], axis=0)
 
 
 def predict(model, x, batch_size=64):
-    chunks = []
-    for lo in range(0, x.shape[0], batch_size):
-        chunks.append(model.forward(x[lo:lo + batch_size], train=False).copy())
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate([model.forward(x[lo:lo + batch_size])
+                           for lo in range(0, x.shape[0], batch_size)], axis=0)
 
 
 def average_tracks(track_vectors_by_album):

@@ -282,8 +282,8 @@ def test_criterion_5_overfit_all_variants():
         converged = False
         rng = np.random.default_rng(1)
         for step in range(1, 501):
-            model.forward(x, train=True, rng=rng)
-            loss, dz = model.loss_grad(y)
+            out = model.forward(x, train=True, rng=rng)
+            loss, dz = model.loss_grad(out, y)
             if loss < threshold:
                 converged = True
                 break

@@ -24,7 +24,7 @@ from genrekit.nn import (
     make_optimizer,
     save_model,
 )
-from genrekit.nn.layers import Conv2d, Dropout, FactoredGrad, MaxPool, ReLU, Sigmoid
+from genrekit.nn.layers import Conv2d, Dropout, FactoredGrad, Flatten, MaxPool, ReLU, Sigmoid
 from genrekit.nn.model import _cosine_grad, _stable_sigmoid
 from genrekit.nn.optim import SPAN, _spans
 
@@ -89,7 +89,7 @@ def test_logistic_head_gradient_closed_form():
     x = rng.normal(size=(4, 5))
     y = rng.integers(0, 2, size=(4, 3)).astype(float)
     p = model.forward(x, train=True)
-    _, dz = model.loss_grad(y)
+    _, dz = model.loss_grad(p, y)
     model.backward(dz)
     dw = model.grads()[0]
     np.testing.assert_allclose(dw, x.T @ (p - y) / p.size, atol=1e-12)
@@ -266,8 +266,8 @@ def test_factored_steps_match_materialized_gradients(kind):
     rng = np.random.default_rng(8)
     for t in range(1, 4):
         model.set_params(expect)
-        model.forward(rng.normal(size=(16, 65)), train=True)
-        _, dz = model.loss_grad(rng.normal(size=(16, 5)))
+        out = model.forward(rng.normal(size=(16, 65)), train=True)
+        _, dz = model.loss_grad(out, rng.normal(size=(16, 5)))
         model.backward(dz)
         grads = model.grads()
         opt.step(model.params_and_grads())
@@ -488,8 +488,8 @@ def test_backward_stops_at_lowest_parameter_layer(build):
         layer.backward = _must_not_run
     grads = []
     for model, backward in ((fast, ModelGraph.backward), (full, full_backward)):
-        model.forward(x, train=True, rng=np.random.default_rng(10))
-        _, dz = model.loss_grad(y)
+        out = model.forward(x, train=True, rng=np.random.default_rng(10))
+        _, dz = model.loss_grad(out, y)
         backward(model, dz)
         grads.append(model.grads())
     for got, want in zip(*grads):
@@ -525,9 +525,9 @@ def test_pool_before_relu_is_bit_identical():
     runs = []
     for model in (two_stage_cnn(False), two_stage_cnn(True)):
         out = model.forward(x, train=True, rng=np.random.default_rng(13))
-        _, dz = model.loss_grad(y)
+        _, dz = model.loss_grad(out, y)
         model.backward(dz)
-        runs.append((out, model.features().copy(), model.forward(x), model.grads()))
+        runs.append((out, model.features(x), model.forward(x), model.grads()))
     (out_a, feat_a, eval_a, grads_a), (out_b, feat_b, eval_b, grads_b) = runs
     np.testing.assert_array_equal(out_a, out_b)
     np.testing.assert_array_equal(feat_a, feat_b)
@@ -561,8 +561,8 @@ def test_a_second_backward_raises(pool_first):
     model = two_stage_cnn(pool_first)
     rng = np.random.default_rng(18)
     x = rng.normal(size=(2, 1, 7, 9))
-    model.forward(x, train=True, rng=np.random.default_rng(19))
-    _, dz = model.loss_grad(rng.integers(0, 2, size=(2, 3)).astype(float))
+    out = model.forward(x, train=True, rng=np.random.default_rng(19))
+    _, dz = model.loss_grad(out, rng.integers(0, 2, size=(2, 3)).astype(float))
     model.backward(dz)
     with pytest.raises(ConfigInvalid, match="train=True"):
         model.backward(dz)
@@ -570,7 +570,8 @@ def test_a_second_backward_raises(pool_first):
 
 @pytest.mark.parametrize("make", [
     lambda rng: Conv2d(1, 2, 2, 2, rng), lambda rng: MaxPool(2, 2), lambda rng: ReLU(),
-    lambda rng: Sigmoid()], ids=["conv2d", "maxpool", "relu", "sigmoid"])
+    lambda rng: Sigmoid(), lambda rng: Flatten()],
+    ids=["conv2d", "maxpool", "relu", "sigmoid", "flatten"])
 def test_caching_layer_backward_needs_a_fresh_train_forward(make):
     layer = make(np.random.default_rng(20))
     x = np.random.default_rng(21).normal(size=(1, 1, 4, 4))
@@ -597,12 +598,12 @@ def test_fused_conv_backward_after_eval_forward_raises():
     x = rng.normal(size=(2, 1, 7, 9))
     y = rng.integers(0, 2, size=(2, 3)).astype(float)
     model.forward(x, train=True, rng=np.random.default_rng(17))
-    model.forward(x)
-    _, dz = model.loss_grad(y)
+    out = model.forward(x)
+    _, dz = model.loss_grad(out, y)
     with pytest.raises(ConfigInvalid, match="train=True"):
         model.backward(dz)
-    model.forward(x, train=True, rng=np.random.default_rng(17))
-    _, dz = model.loss_grad(y)
+    out = model.forward(x, train=True, rng=np.random.default_rng(17))
+    _, dz = model.loss_grad(out, y)
     model.backward(dz)
 
 
@@ -665,12 +666,12 @@ def test_shallow_model_backward_after_eval_forward_raises():
     model = build_shallow(6, 3, "logistic", dropout=0.5, seed=0)
     rng = np.random.default_rng(22)
     x, y = rng.normal(size=(4, 6)), rng.integers(0, 2, size=(4, 3)).astype(float)
-    model.forward(x, train=False)
-    _, dz = model.loss_grad(y)
+    out = model.forward(x, train=False)
+    _, dz = model.loss_grad(out, y)
     with pytest.raises(ConfigInvalid, match="train=True"):
         model.backward(dz)
-    model.forward(x, train=True, rng=np.random.default_rng(23))
-    _, dz = model.loss_grad(y)
+    out = model.forward(x, train=True, rng=np.random.default_rng(23))
+    _, dz = model.loss_grad(out, y)
     model.backward(dz)
     with pytest.raises(ConfigInvalid, match="train=True"):
         model.backward(dz)

@@ -126,6 +126,14 @@ def test_train_zero_epochs_leaves_params_untouched():
         assert (a == b).all()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", 2.5), ("batch_size", True), ("epochs", "3"),
+    ("epochs", -1), ("patience", -1), ("patience", 1.0), ("seed", -1), ("seed", None)])
+def test_train_config_refuses_a_bad_integer(field, value):
+    with pytest.raises(ConfigInvalid, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_train_refuses_an_empty_training_split():
     x, y = make_toy()
     with pytest.raises(TooFewItems):
@@ -277,8 +285,8 @@ def test_overfit_one_cnn_variant_quickly():
     opt = make_optimizer({"kind": "adam", "lr": 1e-2})
     loss = np.inf
     for _ in range(60):
-        model.forward(x, train=True, rng=rng)
-        loss, dz = model.loss_grad(y)
+        out = model.forward(x, train=True, rng=rng)
+        loss, dz = model.loss_grad(out, y)
         if loss < 0.05:
             break
         model.backward(dz)
