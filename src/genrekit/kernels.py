@@ -14,10 +14,10 @@ over 10x (1x1) slower than one many samples wide.
 filters over 96x96 patches, 2x4 pool), where a whole batch would unroll to
 ~90 MB and one sample to 5.6 MB.  A sample over ``COLS`` is cut into bands
 (``_bands``) that the thread which took it runs one after another: the
-fused forward in runs of whole pooling-window rows, skipping conv rows and
-columns that no window reads, and a ``need_dx=False`` backward's dw product
-in runs of whole kernel rows (col2im needs all of a sample's columns, so
-with ``need_dx`` the sample stays whole), where the rule below allows.
+fused forward's read region (below) in runs of whole pooling-window rows,
+and a ``need_dx=False`` backward's dw product in runs of whole kernel rows
+(col2im needs all of a sample's columns, so with ``need_dx`` the sample
+stays whole), where the rule below allows.
 
 One rule, ``cut_keeps_bits``, decides every cut of a product into column
 pieces: they give the whole product's bits only if each is a multiple of 8
@@ -35,8 +35,10 @@ A conv and the max-pool after it can run fused (``pool=(ph, pw)``): each
 sample group's conv output is pooled as soon as its GEMMs are done, and the
 backward widens the pooled gradient one group at a time, so neither the
 full-resolution map nor its gradient exists for the whole batch (20.6 MB
-each at the first audio stage of a batch of 16).  The fused kernels give
-the unfused chain's numbers bit for bit.
+each at the first audio stage of a batch of 16).  Every pooled group forms
+only the conv rows and columns that windows read, where the rule below
+accepts those columns for every group size of the call, and its whole map
+otherwise.  The fused kernels give the unfused chain's numbers bit for bit.
 
 A conv call with more than one sample group runs its groups on several
 threads at once: one per CPU the process may run on, but at most
@@ -48,11 +50,12 @@ count whose speed and peak memory have been measured.  The calling thread and
 the threads of a pool, built by the first call that needs it, each take the
 next group whenever they are free.  The caller allocates every large
 buffer, one slot per thread: the column buffer, the GEMM output and the
-widened pooled gradient.  Each group writes its own samples of the output,
-the argmax and dx.  Its dw product (in a ring of 2 slots per thread) and
-per-sample db sums are added to dw and db in group order, so every sum
-associates as it does on one thread and the results do not depend on the
-thread count.  Every kernel is deterministic run-to-run.
+widened pooled gradient (``maxpool_backward`` writes into the ``out`` it is
+given).  Each group writes its own samples of the output, the argmax and
+dx.  Its dw product (in a ring of 2 slots per thread) and per-sample db
+sums are added to dw and db in group order, so every sum associates as it
+does on one thread and the results do not depend on the thread count.
+Every kernel is deterministic run-to-run.
 
 Three callers share the one pool and its thread count (``_threads``) and
 run on it through ``_run_groups``: the conv kernels, ``matmul`` and the
@@ -143,12 +146,13 @@ def _unroll(x, kh, kw, buf, q0=0, q1=None):
 
 
 def _bands(units, width, depth):
-    """A sample's GEMM cut into bands of whole units, [(u0, u1), ...], for
-    ``cut_keeps_bits`` to judge: ``units`` units of ``width`` GEMM columns of
-    ``depth`` column-buffer elements each, as many per band as fit in ``COLS``
-    elements and make a multiple of 8 columns ([] where none fit)."""
+    """A GEMM of ``units`` units of ``width`` columns of ``depth`` column-buffer
+    elements each, cut into bands [(u0, u1), ...] for ``cut_keeps_bits`` to
+    judge: one band if all fit in ``COLS`` elements, else as many per band as
+    fit and make a multiple of 8 columns ([] where none fit)."""
     per = COLS // (width * depth)
-    per -= per % (8 // np.gcd(width, 8))
+    if per < units:
+        per -= per % (8 // np.gcd(width, 8))
     return [(u, min(units, u + per)) for u in range(0, units, per)] if per else []
 
 
@@ -236,14 +240,14 @@ def matmul(a, b):
 def conv2d_forward(x, w, b, pool=None, need_arg=False):
     """Valid convolution, stride 1. x (B,C,H,W), w (F,C,KH,KW), b (F,).
 
-    With ``pool=(ph, pw)`` each sample group's output goes straight through
-    ``maxpool_forward``, and (out, arg) of the pooled map is returned; arg
-    is None unless ``need_arg``.  The bias is added before pooling, as in the
-    unfused chain: added after, fl(x1 + b) can tie fl(x2 + b) with x1 < x2.
-    A pooled sample over ``COLS`` forms its map in ``_bands`` of whole
-    pooling-window rows, without the conv rows and columns that no window
-    reads, where ``cut_keeps_bits`` accepts them, and pools it once every
-    band is done.
+    Returns (out, arg): the conv map and None, or with ``pool=(ph, pw)`` the
+    pooled map and its argmax, None unless ``need_arg``.  Each sample
+    group's output then goes straight through ``maxpool_forward``, the bias
+    added before pooling as in the unfused chain: added after, fl(x1 + b)
+    can tie fl(x2 + b) with x1 < x2.  Every pooled group forms only the
+    ``OH // ph * ph`` rows and ``OW // pw * pw`` columns that windows read,
+    in ``_bands`` of whole window rows, where ``cut_keeps_bits`` accepts
+    them for every group size of the call.
     """
     F, _, KH, KW = w.shape
     B, OH, OW = x.shape[0], x.shape[2] - KH + 1, x.shape[3] - KW + 1
@@ -253,11 +257,12 @@ def conv2d_forward(x, w, b, pool=None, need_arg=False):
     arg = (np.empty(out.shape, np.min_scalar_type(pool[0] * pool[1] - 1))
            if pool and need_arg else None)
     oh, ow, bands = OH, OW, [(0, OH)]  # the conv rows and columns computed, in bands of rows
-    if pool and K * P > COLS:
+    if pool and OH >= pool[0] and OW >= pool[1]:
         ph, pw = pool
         read = OW // pw * pw  # the columns that windows read
-        cut = [(u0 * ph, u1 * ph) for u0, u1 in _bands(OH // ph, ph * read, K)]
-        if cut_keeps_bits(F, K, P, [((r1 - r0) * read, (r1 - 1) * OW + read) for r0, r1 in cut]):
+        cut = [(u0 * ph, u1 * ph) for u0, u1 in _bands(OH // ph, ph * read, K * g)]
+        if all(cut_keeps_bits(F, K, n * P, [(n * (r1 - r0) * read, (n - 1) * P + (r1 - 1) * OW
+                                            + read) for r0, r1 in cut]) for n in {g, B % g} - {0}):
             oh, ow, bands = cut[-1][1], read, cut
     cols = np.empty((slots, K * g * (bands[0][1] - bands[0][0]) * ow))
     convs = np.empty((slots, F * g * P))
@@ -278,7 +283,7 @@ def conv2d_forward(x, w, b, pool=None, need_arg=False):
             out[s0:s1] = maxpool_forward(conv, *pool, need_arg)[0]
 
     _run_groups(B, g, slots, group)
-    return out if pool is None else (out, arg)
+    return out, arg
 
 
 def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
@@ -319,8 +324,8 @@ def conv2d_backward(x, w, dout, need_dx=True, pool=None, arg=None):
         if pool is None:
             dconv = dout[s0:s1]
         else:
-            dconv = maxpool_backward(dout[s0:s1], arg[s0:s1], (n, F, OH, OW), *pool,
-                                     out=dconvs[k, :n * F * P].reshape(n, F, OH, OW))
+            dconv = maxpool_backward(dout[s0:s1], arg[s0:s1], *pool,
+                                     dconvs[k, :n * F * P].reshape(n, F, OH, OW))
             if whole is None:
                 sums = [dconv[i].reshape(F, -1).sum(axis=1) for i in range(n)]
             else:
@@ -383,19 +388,15 @@ def maxpool_forward(x, ph, pw, need_arg=True):
     return out, arg
 
 
-def maxpool_backward(dout, arg, x_shape, ph, pw, out=None):
-    """Routes gradient to the argmax position of each pooling window.  With
-    ``out``, a float64 array of ``x_shape``, the gradient is written there."""
-    if out is None:
-        dx = np.zeros(x_shape)
-    else:
-        dx = out
-        dx.fill(0.0)
+def maxpool_backward(dout, arg, ph, pw, out):
+    """Routes gradient to the argmax position of each pooling window, written
+    into and returned as ``out``, a float64 array of the pool's input shape."""
+    out.fill(0.0)
     hit = np.empty(arg.shape, dtype=bool)
-    for k, view in enumerate(_offset_views(dx, ph, pw, *arg.shape[2:])):
+    for k, view in enumerate(_offset_views(out, ph, pw, *arg.shape[2:])):
         np.equal(arg, k, out=hit)
         np.copyto(view, dout, where=hit)
-    return dx
+    return out
 
 
 def backend():

@@ -43,7 +43,8 @@ class Layer:
 
     A layer with parameters whose ``need_dx`` is False computes only its
     parameter gradients in ``backward`` and returns None.  ``ModelGraph``
-    sets it on its lowest parameter layer, whose input gradient nothing reads.
+    sets it on its lowest parameter layer, whose input gradient nothing
+    reads, and drops the records below it, which no backward takes.
     """
 
     params = ()  # names of parameter attributes
@@ -153,11 +154,7 @@ class Conv2d(Layer):
         if x.ndim != 4 or x.shape[1] != self.w.shape[1]:
             raise ShapeMismatch(f"conv2d expects (B, {self.w.shape[1]}, H, W), got {x.shape}")
         x = np.ascontiguousarray(x)
-        if self.pool is None:
-            out, arg = kernels.conv2d_forward(x, self.w, self.b), None
-        else:
-            out, arg = kernels.conv2d_forward(x, self.w, self.b, pool=self.pool,
-                                              need_arg=train)
+        out, arg = kernels.conv2d_forward(x, self.w, self.b, pool=self.pool, need_arg=train)
         self._save(train, (x, arg))
         return out
 
@@ -195,7 +192,7 @@ class MaxPool(Layer):
         if self.fused:
             return dout
         arg, shape = self._take()
-        return kernels.maxpool_backward(dout, arg, shape, self.ph, self.pw)
+        return kernels.maxpool_backward(dout, arg, self.ph, self.pw, np.empty(shape))
 
 
 class ReLU(Layer):

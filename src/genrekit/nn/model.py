@@ -188,6 +188,8 @@ class ModelGraph:
         dx = self.head_dense.backward(dz)
         for layer in reversed(self.layers[self._bottom:]):
             dx = layer.backward(dx)
+        for layer in self.layers[:self._bottom]:  # records no backward takes
+            layer._record = None
 
     # ----------------------------------------------------------- parameters
 

@@ -47,14 +47,15 @@ def random_case(rng, B=2, C=3, H=7, W=9, F=4, KH=3, KW=2):
 def test_conv_forward_matches_oracle():
     rng = np.random.default_rng(0)
     x, w, b = random_case(rng)
-    np.testing.assert_allclose(conv2d_forward(x, w, b), conv_oracle(x, w, b),
+    np.testing.assert_allclose(conv2d_forward(x, w, b)[0], conv_oracle(x, w, b),
                                atol=1e-12)
 
 
 def test_conv_forward_1x1_is_channel_mix():
     rng = np.random.default_rng(1)
     x, w, b = random_case(rng, KH=1, KW=1)
-    got = conv2d_forward(x, w, b)
+    got, none = conv2d_forward(x, w, b)
+    assert none is None
     expect = np.einsum("bchw,fcij->bfhw", x, w) + b[None, :, None, None]
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -62,13 +63,13 @@ def test_conv_forward_1x1_is_channel_mix():
 def test_conv_backward_matches_finite_differences():
     rng = np.random.default_rng(2)
     x, w, b = random_case(rng, B=1, C=2, H=5, W=5, F=2, KH=2, KW=3)
-    dout = rng.normal(size=conv2d_forward(x, w, b).shape)
+    dout = rng.normal(size=conv2d_forward(x, w, b)[0].shape)
 
     dx, dw, db = conv2d_backward(x, w, dout)
     step = 1e-6
 
     def loss(xv, wv, bv):
-        return float((conv2d_forward(xv, wv, bv) * dout).sum())
+        return float((conv2d_forward(xv, wv, bv)[0] * dout).sum())
 
     for arr, grad in ((x, dx), (w, dw), (b, db)):
         flat = arr.reshape(-1)
@@ -126,7 +127,7 @@ def column_cap(cols):
 
 
 def assert_matches_oracles(x, w, b, dout):
-    np.testing.assert_allclose(conv2d_forward(x, w, b), conv_oracle(x, w, b), atol=1e-12)
+    np.testing.assert_allclose(conv2d_forward(x, w, b)[0], conv_oracle(x, w, b), atol=1e-12)
     expect = conv_backward_oracle(x, w, dout)
     for got, want in zip(conv2d_backward(x, w, dout), expect):
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -153,9 +154,9 @@ def test_conv_grouped_matches_oracle_and_finite_differences(monkeypatch, cols):
         for k in coords.choice(flat.size, min(8, flat.size), replace=False):
             orig = flat[k]
             flat[k] = orig + step
-            lp = float((conv2d_forward(x, w, b) * dout).sum())
+            lp = float((conv2d_forward(x, w, b)[0] * dout).sum())
             flat[k] = orig - step
-            lm = float((conv2d_forward(x, w, b) * dout).sum())
+            lm = float((conv2d_forward(x, w, b)[0] * dout).sum())
             flat[k] = orig
             assert grad.reshape(-1)[k] == pytest.approx((lp - lm) / (2 * step), abs=1e-5)
 
@@ -188,9 +189,9 @@ def test_conv_single_sample_equals_batched_row(shape):
     B, C, H, W, F, KH, KW = shape
     rng = np.random.default_rng(8)
     x, w, b = random_case(rng, B=B, C=C, H=H, W=W, F=F, KH=KH, KW=KW)
-    batched = conv2d_forward(x, w, b)
+    batched = conv2d_forward(x, w, b)[0]
     for i in range(B):
-        np.testing.assert_allclose(conv2d_forward(x[i:i + 1], w, b)[0], batched[i],
+        np.testing.assert_allclose(conv2d_forward(x[i:i + 1], w, b)[0][0], batched[i],
                                    rtol=0, atol=1e-12)
 
 
@@ -215,7 +216,7 @@ def test_maxpool_tie_takes_first():
     assert out[0, 0, 0, 0] == 7.0
     assert arg[0, 0, 0, 0] == 0
     dout = np.ones((1, 1, 1, 1))
-    dx = maxpool_backward(dout, arg, x.shape, 2, 2)
+    dx = maxpool_backward(dout, arg, 2, 2, np.empty(x.shape))
     np.testing.assert_array_equal(dx, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
@@ -224,7 +225,7 @@ def test_maxpool_backward_routes_all_gradient():
     x = rng.normal(size=(2, 2, 6, 8))
     out, arg = maxpool_forward(x, 2, 4)
     dout = rng.normal(size=out.shape)
-    dx = maxpool_backward(dout, arg, x.shape, 2, 4)
+    dx = maxpool_backward(dout, arg, 2, 4, np.empty(x.shape))
     assert dx.sum() == pytest.approx(dout.sum(), abs=1e-12)
     # gradient lands only at positions that equal the pooled maximum
     assert ((dx != 0) <= (np.repeat(np.repeat(out, 2, axis=2), 4, axis=3) == x)).all()
@@ -263,7 +264,7 @@ def assert_pool_matches_oracle(x, ph, pw, dout):
     np.testing.assert_array_equal(out, want_out)
     np.testing.assert_array_equal(arg, want_arg)
     assert arg.dtype == np.min_scalar_type(ph * pw - 1)
-    np.testing.assert_array_equal(maxpool_backward(dout, arg, x.shape, ph, pw),
+    np.testing.assert_array_equal(maxpool_backward(dout, arg, ph, pw, np.empty(x.shape)),
                                   maxpool_backward_oracle(dout, want_arg, x.shape, ph, pw))
     no_arg_out, none = maxpool_forward(x, ph, pw, need_arg=False)
     assert none is None
@@ -308,9 +309,9 @@ def test_maxpool_argmax_dtype_holds_every_position(ph, pw, dtype):
 
 def unfused_chain(x, w, b, ph, pw, dout, need_dx):
     """conv2d_forward -> maxpool_forward, then maxpool_backward -> conv2d_backward."""
-    conv = conv2d_forward(x, w, b)
+    conv = conv2d_forward(x, w, b)[0]
     out, arg = maxpool_forward(conv, ph, pw)
-    dconv = maxpool_backward(dout, arg, conv.shape, ph, pw)
+    dconv = maxpool_backward(dout, arg, ph, pw, np.empty(conv.shape))
     return (out, arg) + conv2d_backward(x, w, dconv, need_dx=need_dx)
 
 
@@ -328,6 +329,7 @@ def fused_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(fused_cases())
 @example((1, 1, 3, 2, 1, 2, 2, 1, 1, 1, False, 0))  # a one-column band would run as gemv
+@example((2, 1, 3, 4, 1, 2, 2, 1, 4, 1 << 18, True, 0))  # a pool wider than the map: empty
 def test_fused_conv_pool_equals_unfused_chain(case):
     """The fused kernels give the chain's pooled map, argmax and gradients
     to the bit.  A zeroed input region makes the conv output equal the bias
@@ -444,6 +446,57 @@ def test_first_audio_stage_scratch_is_bounded_by_cols():
     assert backward_peak < dw.nbytes + db.nbytes + scratch
 
 
+# tag-serve's second stage: K = 576 and P = 11*9 give groups of 4, each
+# sample's windows read 10x8 conv outputs; audio-train's third stage: one
+# group of 16, each sample's windows read 2x3 of a 3x3 map.  Under a 2x3
+# pool a tag-serve sample reads 10x9 (90 columns), so a group of 4 keeps
+# the bits and a group of 1 does not: the whole call forms whole maps.
+@pytest.mark.parametrize("shape,F,pool,groups,read", [
+    ((1, 64, 13, 11), 128, (2, 4), [1], True),
+    ((2, 64, 13, 11), 128, (2, 4), [2], True),
+    ((3, 64, 13, 11), 128, (2, 4), [3], True),
+    ((4, 64, 13, 11), 128, (2, 4), [4], True),
+    ((6, 64, 13, 11), 128, (2, 4), [4, 2], True),
+    ((16, 128, 5, 5), 128, (2, 3), [16], True),
+    ((5, 64, 13, 11), 128, (2, 3), [4, 1], False),
+], ids=["tag-serve-stage-2-B1", "tag-serve-stage-2-B2", "tag-serve-stage-2-B3",
+        "tag-serve-stage-2-B4", "tag-serve-stage-2-B6", "audio-train-stage-3",
+        "last-group-refused"])
+def test_every_pooled_group_forms_only_the_conv_outputs_its_windows_read(
+        monkeypatch, shape, F, pool, groups, read):
+    """A fused forward's groups unroll only the conv rows and columns that
+    windows read where the cut rule accepts them for every group size of
+    the call, and their whole maps otherwise; either way the pooled map and
+    argmax are the unfused chain's bits."""
+    B, C, H, W = shape
+    rng = np.random.default_rng(24)
+    x, w, b = random_case(rng, B=B, C=C, H=H, W=W, F=F, KH=3, KW=3)
+    x[0, :, H // 3:2 * H // 3, :W // 2] = 0.0  # conv output = bias there: tied windows
+    conv = conv2d_forward(x, w, b)[0]
+    want = maxpool_forward(conv, *pool)
+    oh, ow = H - 2, W - 2
+    if read:
+        oh, ow = oh // pool[0] * pool[0], ow // pool[1] * pool[1]
+    unrolled = []
+    unroll = kernels._unroll
+
+    def recording_unroll(xs, *args):
+        unrolled.append(xs.shape)
+        return unroll(xs, *args)
+
+    monkeypatch.setattr(kernels, "_unroll", recording_unroll)
+    for need_arg in (True, False):
+        unrolled.clear()
+        out, arg = conv2d_forward(x, w, b, pool=pool, need_arg=need_arg)
+        assert sorted(unrolled) == sorted((n, C, oh + 2, ow + 2) for n in groups)
+        np.testing.assert_array_equal(out, want[0])
+        if need_arg:
+            assert arg.dtype == want[1].dtype
+            np.testing.assert_array_equal(arg, want[1])
+        else:
+            assert arg is None
+
+
 # ------------------------------------------------- sample groups on worker threads
 
 @contextlib.contextmanager
@@ -469,7 +522,7 @@ def test_fused_stage_memory_does_not_grow_with_the_cpu_count(monkeypatch):
 def conv_outputs(x, w, b, dout, pool, need_dx, need_arg):
     """Every output of one forward and one backward, fused when ``pool``."""
     if pool is None:
-        return (conv2d_forward(x, w, b),) + conv2d_backward(x, w, dout, need_dx=need_dx)
+        return conv2d_forward(x, w, b)[:1] + conv2d_backward(x, w, dout, need_dx=need_dx)
     out, arg = conv2d_forward(x, w, b, pool=pool, need_arg=need_arg)
     if arg is None:  # the backward needs the argmax of a training forward
         arg = conv2d_forward(x, w, b, pool=pool, need_arg=True)[1]
@@ -539,7 +592,7 @@ def test_a_single_group_runs_inline_and_builds_no_pool():
     x, w, b = random_case(rng, B=3)
     threads = threading.active_count()
     with workers(2):
-        conv2d_backward(x, w, conv2d_forward(x, w, b))
+        conv2d_backward(x, w, conv2d_forward(x, w, b)[0])
         assert kernels._pool is None
         assert threading.active_count() == threads
         with column_cap(1):  # one sample per group: three groups

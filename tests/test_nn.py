@@ -677,6 +677,17 @@ def test_shallow_model_backward_after_eval_forward_raises():
         model.backward(dz)
 
 
+def test_layers_below_the_lowest_parameter_layer_keep_no_record():
+    """Backward stops at the lowest parameter layer, so the input dropout of
+    a shallow model must not keep its last batch's mask after training."""
+    from genrekit.zoo import TrainConfig, build_shallow, train
+    model = build_shallow(1000, 4, "logistic", dropout=0.5, seed=0)
+    rng = np.random.default_rng(27)
+    x, y = rng.normal(size=(100, 1000)), rng.integers(0, 2, size=(100, 4)).astype(float)
+    train(model, x, y, config=TrainConfig(epochs=1, batch_size=32))
+    assert model.layers[0]._record is None
+
+
 @pytest.mark.parametrize("make", [
     lambda rng: Dense(4, 3, rng), lambda rng: Dropout(0.5), lambda rng: Dropout(0.0)],
     ids=["dense", "dropout", "dropout-rate-0"])
